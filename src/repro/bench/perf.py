@@ -3,14 +3,17 @@
 Every other bench in this repo measures *virtual* time — deterministic,
 machine-independent, and blind to how fast the reproduction itself runs.
 This harness establishes the repo's wall-clock perf trajectory: it times
-the three real hot paths (flow-table lookup, tuple encode, tuple decode)
-plus the fig8 forwarding and fig9 broadcast end-to-end paths on the host
-clock, and writes ``BENCH_hotpath.json``.
+the real hot paths (flow-table lookup, tuple encode, tuple decode, and
+the one-pass decode of a whole MULTI payload) plus the fig8 forwarding
+and fig9 broadcast end-to-end paths on the host clock, and writes
+``BENCH_hotpath.json``.
 
 The baseline is not a number copied from an older commit: the pre-PR
-implementations live on in :mod:`repro.bench.legacy` and are re-measured
-in the same process, so the reported speedups compare optimized vs.
-unoptimized code *on the same machine, same Python, same run*.
+implementations live on in :mod:`repro.bench.legacy` (for the payload
+decode, the per-record unpack-then-decode loop is built from the public
+codec calls) and are re-measured in the same process, so the reported
+speedups compare optimized vs. unoptimized code *on the same machine,
+same Python, same run*.
 
 Determinism note: wall-clock numbers vary run to run, but the harness's
 *virtual* outputs (fig8/fig9 throughputs, cache hit counts, encoded
@@ -26,13 +29,14 @@ import time
 from typing import Any, Dict, List, Tuple
 
 from ..net.addresses import BROADCAST, CONTROLLER_ADDRESS, TYPHOON_ETHERTYPE, WorkerAddress
-from ..net.ethernet import EthernetFrame
+from ..core.packets import MULTI_HEAD_SIZE, pack_tuples, unpack_payload
+from ..net.ethernet import DEFAULT_MTU, EthernetFrame
 from ..sdn.flow import FlowEntry, FlowTable, Match, Output, SetTunnelDst
 from ..sdn.flow import OFPP_CONTROLLER
 from ..sim import Engine
 from ..sim.rng import SeedFactory
 from ..streaming import TopologyConfig
-from ..streaming.serialize import decode_tuple, encode_tuple
+from ..streaming.serialize import decode_train, decode_tuple, encode_tuple
 from ..streaming.tuples import Anchor, StreamTuple
 from ..workloads import broadcast_topology, forwarding_topology
 from .harness import write_json_report
@@ -81,6 +85,16 @@ MAX_ENGINE_HEAP_OPS_PER_EVENT = 1.5
 #: steady state nearly every scheduled event reuses one; a value near
 #: 1.0 means the free list stopped working.
 MAX_ENGINE_ALLOCS_PER_EVENT = 0.5
+
+#: Minimum ``decode_train`` speedup over the per-record receive loop it
+#: replaced, measured in the same run (perf-smoke CI gate; wall-clock,
+#: so skipped under ``--profile``). The one-pass decoder must never be
+#: slower than slicing and decoding each record on its own.
+MIN_DECODE_TRAIN_SPEEDUP = 1.0
+
+#: Records in the ``decode_train`` micro-benchmark's MULTI payload —
+#: one full batch at the figures' ``batch_size``.
+TRAIN_RECORDS = 100
 
 _DEPLOY = 2.1
 
@@ -289,6 +303,51 @@ def _bench_codec(corpus: List[StreamTuple],
     return encode, decode
 
 
+def bench_decode_train(seed: int = 0,
+                       iterations: int = 50_000) -> Dict[str, float]:
+    """Receive-side decode of one MULTI payload: :func:`decode_train`
+    against the per-record loop it replaced (:func:`unpack_payload`,
+    then :func:`decode_tuple` on each record). The payload is one
+    fig9-shaped batch: ``TRAIN_RECORDS`` ``(payload, seq)`` tuples on
+    one stream. ``ops`` counts tuples."""
+    base = SeedFactory(seed).rng("bench.perf.decode_train").randrange(10 ** 6)
+    train = [StreamTuple(("typhoon-broadcast-benchmark", base + i),
+                         source_worker=1) for i in range(TRAIN_RECORDS)]
+    payloads, _ = pack_tuples([encode_tuple(st) for st in train],
+                              DEFAULT_MTU)
+    assert len(payloads) == 1
+    payload = payloads[0]
+    n = TRAIN_RECORDS
+
+    def run_current():
+        return decode_train(payload, MULTI_HEAD_SIZE, n)[0]
+
+    def run_baseline():
+        # Keeps the decoded tuples, as the receive path must: dropping
+        # each one at once would spare the baseline the allocator and
+        # collector work that a delivered batch costs.
+        return [decode_tuple(record) for record in unpack_payload(payload)]
+
+    # Sanity: both paths decode the same tuples.
+    assert run_current() == run_baseline()
+    reps = max(1, iterations // n)
+    # Alternate the two sides so a burst of machine load cannot land on
+    # one side only: the speedup is gated, not just reported.
+    t_new = t_old = float("inf")
+    for _ in range(3):
+        t_new = min(t_new, _time_loop(run_current, reps))
+        t_old = min(t_old, _time_loop(run_baseline, reps))
+    ops = reps * n
+    return {
+        "ops": ops,
+        "current_ops_per_sec": ops / t_new,
+        "baseline_ops_per_sec": ops / t_old,
+        "speedup": t_old / t_new,
+        "current_sec_per_op": t_new / ops,
+        "baseline_sec_per_op": t_old / ops,
+    }
+
+
 # -- end-to-end wall-clock paths ---------------------------------------------
 
 
@@ -477,6 +536,9 @@ def run_perf_bench(seed: int = 0, iterations: int = 50_000,
     encode, decode = _profiled(
         profile, "codec", profiles,
         lambda: _bench_codec(codec_corpus(seed), iterations))
+    decode_train_row = _profiled(
+        profile, "decode_train", profiles,
+        lambda: bench_decode_train(seed, iterations))
     combined_new = (lookup["current_sec_per_op"]
                     + encode["current_sec_per_op"]
                     + decode["current_sec_per_op"])
@@ -491,6 +553,7 @@ def run_perf_bench(seed: int = 0, iterations: int = 50_000,
             "table_lookup": lookup,
             "encode": encode,
             "decode": decode,
+            "decode_train": decode_train_row,
         },
         "combined": {
             "current_sec_per_op": combined_new,
@@ -524,7 +587,7 @@ def render_report(result: Dict[str, Any]) -> str:
              % result["seed"]]
     lines.append("%-14s %14s %14s %9s" % ("op", "baseline/s", "current/s",
                                           "speedup"))
-    for name in ("table_lookup", "encode", "decode"):
+    for name in ("table_lookup", "encode", "decode", "decode_train"):
         op = result["ops"][name]
         lines.append("%-14s %14.0f %14.0f %8.2fx"
                      % (name, op["baseline_ops_per_sec"],
@@ -603,6 +666,11 @@ def check_gates(result: Dict[str, Any]) -> List[str]:
             failures.append(
                 "fig8 tuples/wall-sec %.0f < %.0f"
                 % (rate, MIN_FIG8_TUPLES_PER_WALL_SEC))
+    speedup = result["ops"]["decode_train"]["speedup"]
+    if not profiled and speedup < MIN_DECODE_TRAIN_SPEEDUP:
+        failures.append(
+            "decode_train speedup %.2fx < %.2fx over the per-record loop"
+            % (speedup, MIN_DECODE_TRAIN_SPEEDUP))
     micro_rate = result["ops"]["table_lookup"]["cache_hit_rate"]
     if micro_rate < MIN_FIG8_HIT_RATE:
         failures.append("micro lookup cache hit rate %.4f < %.2f"

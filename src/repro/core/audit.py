@@ -30,7 +30,12 @@ from ..sim.audit import (
     ConservationReport,
     DeliveryLedger,
 )
-from .packets import Fragment, unpack_payload
+from .packets import (
+    MULTI_HEAD_SIZE,
+    multi_count,
+    record_bounds,
+    unpack_payload,
+)
 
 __all__ = [
     "ConservationError",
@@ -59,10 +64,16 @@ def typhoon_frame_tuples(frame: object) -> Optional[Tuple[int, int]]:
         scope = frame.dst.app_id
     else:
         scope = frame.src.app_id
-    decoded = unpack_payload(frame.payload)
-    if isinstance(decoded, Fragment):
-        return scope, (1 if decoded.offset == 0 else 0)
-    return scope, len(decoded)
+    payload = frame.payload
+    count = multi_count(payload)
+    if count is None:
+        fragment = unpack_payload(payload)
+        return scope, (1 if fragment.offset == 0 else 0)
+    # Count by walking the length prefixes: the walk validates the
+    # framing (a malformed payload raises, so the frame is left
+    # unattributed) without slicing out any record.
+    record_bounds(payload, MULTI_HEAD_SIZE, count)
+    return scope, count
 
 
 def conservation_report(cluster) -> ConservationReport:

@@ -56,13 +56,13 @@ from ..sim.engine import Event
 from ..streaming.acker import ACKER_COMPONENT
 from ..streaming.physical import PhysicalTopology
 from ..sim.trace import KIND_CONTROL
-from ..streaming.serialize import decode_tuple, encode_tuple
+from ..streaming.serialize import decode_train, encode_tuple
 from ..streaming.topology import ALL, SDN_SELECT, LogicalTopology
 from ..streaming.tuples import CONTROL_STREAM
 from . import control as ct
 from . import rules as rule_templates
 from .io_layer import TyphoonFabric
-from .packets import Fragment, pack_tuples, unpack_payload
+from .packets import MULTI_HEAD_SIZE, multi_count, pack_tuples
 
 #: (dpid, match) uniquely identifies an installed rule for diffing.
 _RuleKey = Tuple[str, Match]
@@ -637,11 +637,13 @@ class TyphoonControllerApp(ControllerApp):
     def on_packet_in(self, message: PacketIn) -> None:
         if message.frame.ethertype != TYPHOON_ETHERTYPE:
             return
-        decoded = unpack_payload(message.frame.payload)
-        if isinstance(decoded, Fragment):
+        payload = message.frame.payload
+        count = multi_count(payload)
+        if count is None:
             return  # control tuples are small; fragments unexpected
-        for record in decoded:
-            stream_tuple = decode_tuple(record)
+        tuples, _rlens, _est, _stream = decode_train(
+            payload, MULTI_HEAD_SIZE, count)
+        for stream_tuple in tuples:
             if stream_tuple.stream != CONTROL_STREAM:
                 continue
             control = ct.ControlTuple.from_stream_tuple(stream_tuple)

@@ -48,6 +48,7 @@ from ..sim.trace import (
     address_branch,
 )
 from ..streaming.serialize import (
+    decode_train,
     decode_tuple,
     deserialize_cost,
     SCALAR_TYPES,
@@ -62,9 +63,10 @@ from ..streaming.transport import Delivery, Transport
 from ..streaming.tuples import StreamTuple
 from .packets import (
     KIND_MULTI,
+    MULTI_HEAD_SIZE,
     _MULTI_HEAD,
-    Fragment,
     Reassembler,
+    multi_count,
     pack_tuples_spans,
     unpack_payload,
 )
@@ -1101,6 +1103,28 @@ class TyphoonTransport(Transport):
             return frame.dst.app_id
         return frame.src.app_id
 
+    def _add_recv_terms(self, cost: float, rlens: Sequence[int]) -> float:
+        """``cost`` plus each record's deserialize term, added in record
+        order. Terms are memoized per record length (records in a train
+        are near-always uniform) and each is the exact float
+        :func:`deserialize_cost` computes, so the sum is bit-identical
+        to a per-record walk."""
+        costs = self.costs
+        per_tuple = costs.deserialize_per_tuple
+        per_byte = costs.deserialize_per_byte
+        terms = self._recv_terms
+        term_get = terms.get
+        prev_rlen = -1
+        term = 0.0
+        for rlen in rlens:
+            if rlen != prev_rlen:
+                term = term_get(rlen)
+                if term is None:
+                    term = terms[rlen] = per_tuple + rlen * per_byte
+                prev_rlen = rlen
+            cost += term
+        return cost
+
     def _on_frame(self, frame: EthernetFrame, _tun_dst: Optional[str]) -> None:
         if self.closed or self.deliver is None:
             if self.ledger is not None:
@@ -1155,23 +1179,9 @@ class TyphoonTransport(Transport):
                         out.trace_id = src_tuple.trace_id
                         out.seq = src_tuple.seq
                         append(out)
-                # Memoized deserialize terms: identical float
-                # expression per record length, added in record order,
-                # so the accumulated cost is bit-identical to the
-                # per-tuple walk. The store-sizer estimate was
-                # precomputed (exact integer arithmetic) at encode
-                # time.
-                terms = self._recv_terms
-                term_get = terms.get
-                prev_rlen = -1
-                term = 0.0
-                for rlen in annotated.rlens[start:end]:
-                    if rlen != prev_rlen:
-                        term = term_get(rlen)
-                        if term is None:
-                            term = terms[rlen] = per_tuple + rlen * per_byte
-                        prev_rlen = rlen
-                    cost += term
+                # The store-sizer estimate was precomputed (exact
+                # integer arithmetic) at encode time.
+                cost = self._add_recv_terms(cost, annotated.rlens[start:end])
                 est = annotated.est
                 cost += self._pending_recv_cost
                 self._pending_recv_cost = 0.0
@@ -1264,41 +1274,49 @@ class TyphoonTransport(Transport):
                     self.ledger.record_drop(scope, LAYER_TRANSPORT,
                                             R_DELIVER_REJECTED, len(tuples))
             return
-        decoded = unpack_payload(frame.payload)
-        records: List[bytes]
-        reassembled = False
-        if isinstance(decoded, Fragment):
+        tracer = self._live_tracer()
+        payload = frame.payload
+        count = multi_count(payload)
+        if count is not None:
+            # One pass over the whole MULTI payload: framing checks,
+            # record decode, record lengths, the store-sizer estimate
+            # and the train's stream id together.
+            tuples, rlens, est, stream = decode_train(
+                payload, MULTI_HEAD_SIZE, count)
+            cost = self._add_recv_terms(cost, rlens)
+            if tracer is not None:
+                branch = self.worker_id
+                terms = self._recv_terms
+                for stream_tuple, rlen in zip(tuples, rlens):
+                    trace_id = stream_tuple.trace_id
+                    if trace_id is not None:
+                        tracer.event(trace_id, H_WIRE, branch=branch)
+                        tracer.event(trace_id, H_DESERIALIZE, branch=branch,
+                                     cost=terms[rlen], nbytes=rlen)
+        else:
             # Key by (app, worker): same-numbered workers of different
             # applications must never share a reassembly stream.
             source = (frame.src.app_id, frame.src.worker_id)
-            complete = self._reassembler.feed(source, decoded)
+            complete = self._reassembler.feed(source, unpack_payload(payload))
             if complete is None:
                 # Partial tuple: bank the cost against the next delivery.
                 self._pending_recv_cost += cost
                 return
-            records = [complete]
-            reassembled = True
-        else:
-            records = decoded
-        tuples = []
-        tracer = self._live_tracer()
-        for data in records:
-            stream_tuple = decode_tuple(data)
-            tuple_cost = deserialize_cost(self.costs, len(data))
+            stream_tuple = decode_tuple(complete)
+            tuple_cost = deserialize_cost(costs, len(complete))
             cost += tuple_cost
-            if tracer is not None and stream_tuple.trace_id is not None:
-                tracer.event(stream_tuple.trace_id, H_WIRE,
-                             branch=self.worker_id)
-                if reassembled:
-                    tracer.event(stream_tuple.trace_id, H_REASSEMBLY,
-                                 branch=self.worker_id)
-                tracer.event(stream_tuple.trace_id, H_DESERIALIZE,
-                             branch=self.worker_id, cost=tuple_cost,
-                             nbytes=len(data))
-            tuples.append(stream_tuple)
+            trace_id = stream_tuple.trace_id
+            if tracer is not None and trace_id is not None:
+                tracer.event(trace_id, H_WIRE, branch=self.worker_id)
+                tracer.event(trace_id, H_REASSEMBLY, branch=self.worker_id)
+                tracer.event(trace_id, H_DESERIALIZE, branch=self.worker_id,
+                             cost=tuple_cost, nbytes=len(complete))
+            tuples = [stream_tuple]
+            est = stream = None
         cost += self._pending_recv_cost
         self._pending_recv_cost = 0.0
-        accepted = self.deliver(Delivery(tuples=tuples, cost=cost))
+        accepted = self.deliver(Delivery(tuples=tuples, cost=cost, nbytes=est,
+                                         stream=stream))
         if self.ledger is not None:
             scope = self._frame_scope(frame)
             if accepted:

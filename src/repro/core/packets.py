@@ -35,6 +35,8 @@ KIND_FRAGMENT = 1
 _MULTI_HEAD = struct.Struct("!BH")
 _RECORD_LEN = struct.Struct("!I")
 _FRAG_HEAD = struct.Struct("!BIII")
+#: Offset of the first record in a MULTI payload.
+MULTI_HEAD_SIZE = _MULTI_HEAD.size
 
 
 class PacketError(ValueError):
@@ -133,34 +135,63 @@ def pack_tuples_spans(
     return payloads, next_frag_id, spans
 
 
-def unpack_payload(payload: bytes) -> Union[List[bytes], Fragment]:
-    """Decode a frame payload: a list of tuple byte strings, or a Fragment."""
+def multi_count(payload: bytes) -> Optional[int]:
+    """Record count of a MULTI payload, or ``None`` for a FRAGMENT.
+
+    Reads only the head; the records themselves are checked by
+    :func:`record_bounds`. Raises :class:`PacketError` for an empty
+    payload or an unknown kind byte."""
     if not payload:
         raise PacketError("empty payload")
     kind = payload[0]
     if kind == KIND_MULTI:
-        _kind, count = _MULTI_HEAD.unpack_from(payload, 0)
-        offset = _MULTI_HEAD.size
-        records: List[bytes] = []
-        for _ in range(count):
-            if offset + _RECORD_LEN.size > len(payload):
-                raise PacketError("truncated record length")
-            (length,) = _RECORD_LEN.unpack_from(payload, offset)
-            offset += _RECORD_LEN.size
-            if offset + length > len(payload):
-                raise PacketError("truncated record body")
-            records.append(payload[offset:offset + length])
-            offset += length
-        if offset != len(payload):
-            raise PacketError("%d trailing payload bytes" % (len(payload) - offset))
-        return records
+        return _MULTI_HEAD.unpack_from(payload, 0)[1]
     if kind == KIND_FRAGMENT:
-        _kind, frag_id, total_len, frag_offset = _FRAG_HEAD.unpack_from(payload, 0)
-        chunk = payload[_FRAG_HEAD.size:]
-        if frag_offset + len(chunk) > total_len:
-            raise PacketError("fragment overruns total length")
-        return Fragment(frag_id, total_len, frag_offset, chunk)
+        return None
     raise PacketError("unknown packet kind 0x%02x" % kind)
+
+
+def record_bounds(payload: bytes, offset: int, count: int,
+                  _unpack_len=_RECORD_LEN.unpack_from) -> List[int]:
+    """The validated MULTI record walk: every reader of MULTI framing
+    (:func:`unpack_payload`, the receive-side train decoder, the ledger
+    and tracer inspectors, the controller's PacketIn handler) goes
+    through this one function.
+
+    Walks ``count`` length-prefixed records starting at ``offset``
+    without slicing any of them and returns ``count + 1`` prefix
+    offsets: record ``i``'s bytes are
+    ``payload[bounds[i] + 4 : bounds[i + 1]]`` (the layout
+    :func:`repro.streaming.serialize.encode_train` emits). Raises
+    :class:`PacketError` for a truncated length prefix, a body running
+    past the payload, or bytes left over after the last record."""
+    size = len(payload)
+    bounds = [offset]
+    mark = bounds.append
+    for _ in range(count):
+        body = offset + 4
+        if body > size:
+            raise PacketError("truncated record length")
+        offset = body + _unpack_len(payload, offset)[0]
+        if offset > size:
+            raise PacketError("truncated record body")
+        mark(offset)
+    if offset != size:
+        raise PacketError("%d trailing payload bytes" % (size - offset))
+    return bounds
+
+
+def unpack_payload(payload: bytes) -> Union[List[bytes], Fragment]:
+    """Decode a frame payload: a list of tuple byte strings, or a Fragment."""
+    count = multi_count(payload)
+    if count is not None:
+        bounds = record_bounds(payload, _MULTI_HEAD.size, count)
+        return [payload[bounds[i] + 4:bounds[i + 1]] for i in range(count)]
+    _kind, frag_id, total_len, frag_offset = _FRAG_HEAD.unpack_from(payload, 0)
+    chunk = payload[_FRAG_HEAD.size:]
+    if frag_offset + len(chunk) > total_len:
+        raise PacketError("fragment overruns total length")
+    return Fragment(frag_id, total_len, frag_offset, chunk)
 
 
 class Reassembler:

@@ -25,7 +25,12 @@ from typing import Dict, Optional, Tuple
 from ..net.ethernet import EthernetFrame
 from ..sim.trace import TraceReport, Tracer
 from ..streaming.serialize import peek_trace_id
-from .packets import Fragment, unpack_payload
+from .packets import (
+    MULTI_HEAD_SIZE,
+    multi_count,
+    record_bounds,
+    unpack_payload,
+)
 
 __all__ = [
     "TraceReport",
@@ -47,15 +52,18 @@ def frame_trace_ids(frame: object) -> Tuple[int, ...]:
         frame = EthernetFrame.unpack(bytes(frame))
     if not isinstance(frame, EthernetFrame):
         return ()
-    decoded = unpack_payload(frame.payload)
-    if isinstance(decoded, Fragment):
-        if decoded.offset != 0:
+    payload = frame.payload
+    count = multi_count(payload)
+    if count is None:
+        fragment = unpack_payload(payload)
+        if fragment.offset != 0:
             return ()
-        trace_id = peek_trace_id(decoded.data)
+        trace_id = peek_trace_id(fragment.chunk)
         return (trace_id,) if trace_id is not None else ()
+    bounds = record_bounds(payload, MULTI_HEAD_SIZE, count)
     ids = []
-    for chunk in decoded:
-        trace_id = peek_trace_id(chunk)
+    for i in range(count):
+        trace_id = peek_trace_id(payload[bounds[i] + 4:bounds[i + 1]])
         if trace_id is not None:
             ids.append(trace_id)
     return tuple(ids)

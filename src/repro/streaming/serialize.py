@@ -29,6 +29,10 @@ is the repo's hottest real (wall-clock) path, so it is tuned for CPython
 * **both directions batch**: values are encoded/decoded in runs
   (``_encode_many``/``_decode_many``), so scalars cost zero Python
   function calls — the codec recurses only for nested containers.
+* **trains in both directions**: :func:`encode_train` writes a whole
+  batch as one length-prefixed buffer, and :func:`decode_train` decodes
+  a whole MULTI payload in place, record after record, without slicing
+  any record out of it.
 
 The byte layout is unchanged — encode/decode are byte-for-byte
 compatible with the pre-optimization codec, including the optional
@@ -40,6 +44,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Optional, Tuple
 
+from ..core.packets import _RECORD_LEN, record_bounds
 from ..sim.costs import CostModel
 from .tuples import Anchor, StreamTuple
 
@@ -99,12 +104,9 @@ _PAD_ANCHOR = bytes(_ANCHOR.size)
 _PAD_TRACE = bytes(_TRACE.size)
 _PAD_SEQ = bytes(_SEQ.size)
 
-#: Per-record length prefix used by :func:`encode_train`. Mirrors the
-#: packets layer's MULTI record framing (``u32 len | record``, see
-#: :mod:`repro.core.packets`); defined locally because importing from
-#: :mod:`repro.core` here would be circular (core's io_layer imports
-#: this module).
-_RECORD_LEN = struct.Struct("!I")
+#: Zero length prefix reserved ahead of each :func:`encode_train`
+#: record and patched once the record's size is known (the packets
+#: layer's MULTI record framing, ``u32 len | record``).
 _PAD_RECORD_LEN = bytes(_RECORD_LEN.size)
 
 
@@ -826,6 +828,109 @@ def decode_tuple(data, source_component: str = "") -> StreamTuple:
                        source_component=source_component,
                        source_worker=source_worker, anchor=anchor,
                        trace_id=trace_id, seq=seq)
+
+
+def decode_train(
+    payload,
+    offset: int,
+    count: int,
+    _unpack_env=_ENVELOPE.unpack_from,
+    _unpack_anchor=_ANCHOR.unpack_from,
+    _unpack_trace=_TRACE.unpack_from,
+    _unpack_seq=_SEQ.unpack_from,
+    _new=StreamTuple.__new__,
+    _len=len, _type=type, _tuple=tuple,
+):
+    """Decode ``count`` MULTI records starting at ``offset`` of a frame
+    payload in one pass — the receive-side inverse of
+    :func:`encode_train`.
+
+    Returns ``(tuples, rlens, est, stream)``:
+
+    * ``tuples`` — the decoded tuples, each exactly what
+      :func:`decode_tuple` builds from that record's bytes;
+    * ``rlens[i]`` — record ``i``'s serialized length (sans prefix);
+    * ``est`` — the store sizer's byte charge for the batch, equal to
+      :func:`repro.streaming.transport.delivery_bytes` over ``tuples``
+      (80 per tuple + ``len(value)`` for str/bytes values, 8 for the
+      rest; decoded values have exact types, so the exact-type test
+      matches the sizer's ``isinstance`` test);
+    * ``stream`` — the one stream id every tuple rides, or ``None``
+      when the records mix streams (or there are none).
+
+    The framing is checked by :func:`repro.core.packets.record_bounds`
+    (a :class:`~repro.core.packets.PacketError` for a truncated length,
+    a truncated body or trailing payload bytes) before any record is
+    decoded. Each record is then decoded in place, with no per-record
+    slice. A record that does not decode to exactly its own bytes (a
+    short envelope, a truncated value, trailing bytes, an unknown tag)
+    is decoded again on its own by :func:`decode_tuple`, so it raises
+    exactly the error a per-record decode raises.
+    """
+    bounds = record_bounds(payload, offset, count)
+    if _type(payload) is not bytes:
+        payload = bytes(payload)
+    tuples: list = []
+    rlens: list = []
+    add = tuples.append
+    keep_len = rlens.append
+    est = 0
+    train_stream = None
+    mixed = False
+    end = bounds[0]
+    for i in range(1, count + 1):
+        start = end + 4
+        end = bounds[i]
+        anchor = trace_id = seq = None
+        values: list = []
+        pos = -1
+        if end - start >= 9:    # _ENVELOPE.size
+            stream, source_worker, flags, nvalues = _unpack_env(payload,
+                                                                start)
+            try:
+                pos = start + 9
+                if flags:
+                    if flags & _FLAG_ANCHORED:
+                        anchor = Anchor(*_unpack_anchor(payload, pos))
+                        pos += 16
+                    if flags & _FLAG_TRACED:
+                        (trace_id,) = _unpack_trace(payload, pos)
+                        pos += 8
+                    if flags & _FLAG_SEQUENCED:
+                        seq = _unpack_seq(payload, pos)
+                        pos += 12
+                pos = _decode_many(payload, pos, nvalues, values)
+            except (IndexError, ValueError, struct.error):
+                pos = -1
+        if pos != end:
+            # Malformed record (reads past its end, stops short of it,
+            # or fails inside it): the lone decode raises the exact
+            # error a per-record receive would.
+            decode_tuple(payload[start:end])
+            raise SerializationError("record %d is malformed" % (i - 1))
+        out = _new(StreamTuple)
+        values = _tuple(values)
+        out.values = values
+        out.stream = stream
+        out.source_component = ""
+        out.source_worker = source_worker
+        out.anchor = anchor
+        out.trace_id = trace_id
+        out.seq = seq
+        add(out)
+        keep_len(end - start)
+        est += 80
+        for value in values:
+            kind = _type(value)
+            if kind is str or kind is bytes:
+                est += _len(value)
+            else:
+                est += 8
+        if train_stream is None:
+            train_stream = stream
+        elif stream != train_stream:
+            mixed = True
+    return tuples, rlens, est, None if mixed else train_stream
 
 
 def peek_trace_id(data) -> Optional[int]:

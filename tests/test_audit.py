@@ -101,6 +101,16 @@ def test_typhoon_inspector_attributes_frames():
                             ethertype=TYPHOON_ETHERTYPE, payload=payloads[0])
     assert typhoon_frame_tuples(control) == (5, 2)
     assert typhoon_frame_tuples("not a frame") is None
+    # The count comes from a validated walk of the length prefixes: a
+    # malformed MULTI payload is still left unattributed.
+    ledger = DeliveryLedger(inspector=typhoon_frame_tuples)
+    for bad in (payloads[0][:-1], payloads[0] + b"x"):
+        ledger.record_frame_drop(LAYER_TRANSPORT, R_CLOSED_PORT,
+                                 EthernetFrame(dst=frame.dst, src=frame.src,
+                                               ethertype=TYPHOON_ETHERTYPE,
+                                               payload=bad))
+    assert ledger.unattributable_frames == 2
+    assert ledger.total_drops() == 0
 
 
 def test_typhoon_inspector_fragment_head_rule():

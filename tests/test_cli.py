@@ -75,5 +75,6 @@ def test_bench_perf_micro_runs_and_writes_json(tmp_path):
     import json
     data = json.loads(report.read_text())
     assert data["benchmark"] == "hotpath"
-    assert set(data["ops"]) == {"table_lookup", "encode", "decode"}
+    assert set(data["ops"]) == {"table_lookup", "encode", "decode",
+                                "decode_train"}
     assert data["ops"]["table_lookup"]["cache_hit_rate"] > 0.95

@@ -18,9 +18,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.audit import quiesce
 from repro.core.rest import RestApi
+from repro.core.runtime import TyphoonCluster
 from repro.core.tracing import run_forwarding_trace, trace_snapshot
 from repro.net.addresses import BROADCAST, CONTROLLER_ADDRESS, WorkerAddress
+from repro.net.ethernet import DEFAULT_MTU
 from repro.sim import Engine
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.trace import (
@@ -30,6 +33,7 @@ from repro.sim.trace import (
     H_DROP,
     H_EXECUTE,
     H_QUEUE,
+    H_REASSEMBLY,
     H_SERIALIZE,
     H_SWITCH,
     H_TUNNEL_RX,
@@ -40,8 +44,10 @@ from repro.sim.trace import (
     Tracer,
     address_branch,
 )
+from repro.streaming import TopologyBuilder, TopologyConfig
 from repro.streaming.serialize import decode_tuple, encode_tuple, peek_trace_id
 from repro.streaming.tuples import StreamTuple
+from tests.conftest import CountingSpout, RecordingBolt
 
 
 def fresh_tuple(seq=0):
@@ -367,6 +373,39 @@ def test_report_is_byte_identical_for_fixed_seed(traced_run):
     again, _tracer2, _cluster2 = run_forwarding_trace(**RUN_ARGS)
     assert again.render() == report.render()
     assert again.to_dict() == report.to_dict()
+
+
+def test_traced_over_mtu_tuple_records_both_tunnel_hops():
+    """A sampled tuple larger than the MTU crosses the tunnel as
+    fragments; the head fragment carries its trace id, so the frame
+    inspector must find it and both tunnel checkpoints get recorded."""
+    engine = Engine()
+    cluster = TyphoonCluster(engine, num_hosts=2, seed=0)
+    cluster.tracer.configure(1)
+    builder = TopologyBuilder("big", TopologyConfig(
+        batch_size=1, max_spout_rate=50, acking=False))
+    payload = "x" * (2 * DEFAULT_MTU)
+    builder.set_spout("source", lambda: CountingSpout(4, payload=payload), 1)
+    builder.set_bolt("sink", RecordingBolt, 2).shuffle_grouping("source")
+    cluster.submit(builder.build())
+    engine.run(until=3.0)
+    quiesce(cluster, settle=1.0)
+
+    assignments = cluster.record("big").physical.assignments
+    crossed = 0
+    for trace in cluster.tracer.traces.values():
+        if trace.kind != KIND_DATA:
+            continue
+        src_host = assignments[trace.meta["worker"]].hostname
+        for branch in trace.delivered_branches:
+            if assignments[branch].hostname == src_host:
+                continue
+            hops = [e.hop for e in trace.branch_events(branch)]
+            assert H_TUNNEL_TX in hops and H_TUNNEL_RX in hops, hops
+            assert hops.index(H_TUNNEL_TX) < hops.index(H_TUNNEL_RX) \
+                < hops.index(H_REASSEMBLY)
+            crossed += 1
+    assert crossed
 
 
 # -- zero cost when disabled -------------------------------------------------
