@@ -51,7 +51,6 @@ from ..streaming.serialize import (
     decode_train,
     decode_tuple,
     deserialize_cost,
-    SCALAR_TYPES,
     encode_train,
     encode_train_uniform,
     encode_tuple,
@@ -162,18 +161,6 @@ class TyphoonFabric:
 #: Destination key on the outbound buffers: a concrete worker id or a
 #: special Ethernet address (broadcast, controller, select-group virtual).
 _DstKey = Union[int, WorkerAddress]
-
-#: Value types whose decoded form is indistinguishable from the sender's
-#: object (immutable scalars that round-trip the codec exactly). Tuples
-#: made only of these ride the same-process fast lane: the frame carries
-#: the object alongside the authoritative bytes and the receiver skips
-#: the decode walk. Containers are excluded — decode materializes fresh
-#: mutable lists/dicts (and turns tuples into lists), so aliasing the
-#: sender's objects would be observable.
-#: (Single source of truth lives in the codec module so the fused
-#: serialize+classify fast path can never drift from this set.)
-_FASTLANE_TYPES = SCALAR_TYPES
-
 
 class _TrainAnnotation(list):
     """Frame annotation for a tuple train whose objects the sender's
@@ -434,14 +421,6 @@ class TyphoonTransport(Transport):
 
     # -- outbound (northbound -> southbound -> switch) -----------------------
 
-    def _dst_address(self, dst: _DstKey) -> WorkerAddress:
-        address = self._addr_cache.get(dst)
-        if address is None:
-            if isinstance(dst, WorkerAddress):
-                return dst
-            address = self._addr_cache[dst] = WorkerAddress(self.app_id, dst)
-        return address
-
     def _enqueue(self, address: WorkerAddress, encoded: bytes,
                  obj: Optional[StreamTuple] = None) -> float:
         buffer = self._buffers.get(address)
@@ -467,20 +446,14 @@ class TyphoonTransport(Transport):
             tracer.event(stream_tuple.trace_id, H_SERIALIZE, cost=cost,
                          nbytes=nbytes)
 
-    def _fastlane_obj(self,
-                      stream_tuple: StreamTuple) -> Optional[StreamTuple]:
-        for value in stream_tuple.values:
-            if type(value) not in _FASTLANE_TYPES:
-                return None
-        return stream_tuple
-
     def send(self, stream_tuple: StreamTuple,
              dst_worker_ids: Sequence[int]) -> float:
-        # Hottest method in the data plane (once per tuple emitted):
-        # _dst_address / _fastlane_obj / _enqueue / serialize_cost are
-        # inlined here. Cost arithmetic mirrors the helper structure
-        # exactly (per-destination enqueue+flush summed first, then
-        # added) so schedules stay bit-identical.
+        # Hottest method in the data plane (once per tuple emitted), and
+        # the one single-tuple send body: broadcast, select-group and
+        # stamped-batch sends all land here. Address resolution,
+        # _enqueue and serialize_cost are inlined. Cost arithmetic keeps
+        # the helper structure (per-destination enqueue+flush summed
+        # first, then added) so schedules stay bit-identical.
         if self.closed or not dst_worker_ids:
             return 0.0
         encoded, all_scalar = encode_tuple_scalar(stream_tuple)
@@ -521,157 +494,24 @@ class TyphoonTransport(Transport):
     def send_many(self, stream_tuples: Sequence[StreamTuple],
                   dst: _DstKey) -> float:
         """Batched :meth:`send`: every tuple goes to the same single
-        destination. Exactly equivalent to calling ``send(t, [dst])``
-        per tuple and summing the costs — same serialization, same
-        per-tuple cost terms in the same accumulation order, same flush
-        points — with the per-call setup (address/buffer resolution,
-        cost-model reads) hoisted out of the loop. The executor uses it
-        when a whole emission batch rides one single-hop edge."""
-        if self.closed or not stream_tuples:
-            return 0.0
-        costs = self.costs
-        ser_per_tuple = costs.serialize_per_tuple
-        ser_per_byte = costs.serialize_per_byte
-        address = self._addr_cache.get(dst)
-        if address is None:
-            if isinstance(dst, WorkerAddress):
-                address = self._addr_cache[dst] = dst
-            else:
-                address = self._addr_cache[dst] = WorkerAddress(self.app_id,
-                                                                dst)
-        buffers = self._buffers
-        buffer = buffers.get(address)
-        if buffer is None:
-            buffer = buffers[address] = _SendBuffer()
-        # _flush_address clears the list in place (the object is reused
-        # across batch windows), so the local alias stays valid.
-        append = buffer.append
-        enqueue_cost = self._enqueue_cost
-        batch_size = self.batch_size
-        cost = 0.0
-        blen = buffer.tuples
-        # Train fast path: encode the whole batch into one contiguous
-        # length-prefixed buffer, queued chunk-per-flush-window instead
-        # of record-per-tuple. A train encodes only when no tuple is
-        # anchored/traced/sequenced (the unadorned hot path), and the
-        # per-tuple cost terms below are accumulated in exactly the
-        # per-tuple loop's order. Fast-lane objects are released to the
-        # transport here — blanking source_component marks them
-        # adoptable by the first local receiver (see
-        # :class:`_TrainAnnotation`).
-        train = encode_train(stream_tuples)
-        if train is not None:
-            data, bounds, rlens, ests, objs, tstream = train
-            all_fast = objs is None
-            # Blanking is hoisted out of the cost loop: nothing observes
-            # the tuples between per-tuple iterations (frame forwarding
-            # is event-scheduled, never inline), so the store order is
-            # unobservable. objs None means "all fast — the input run
-            # itself"; chunks need their own list because the executor
-            # reuses (clears in place) the pending list it passed in.
-            if all_fast:
-                for obj in stream_tuples:
-                    obj.source_component = ""
-                objs = list(stream_tuples)
-            else:
-                for obj in objs:
-                    if obj is not None:
-                        obj.source_component = ""
-            terms = self._train_terms
-            term_get = terms.get
-            n = len(objs)
-            seg = 0
-            prev_rlen = -1
-            term = 0.0
-            # Flush-delimited runs (see send_interleaved): no per-tuple
-            # batch-counter bookkeeping, memoized (serialize + enqueue)
-            # term refreshed only when the record length changes —
-            # identical float expression, same operation order.
-            i = 0
-            while i < n:
-                fi = i + (batch_size - 1 - blen)
-                if fi < i:
-                    fi = i
-                stop = fi if fi < n else n
-                for rlen in rlens[i:stop]:
-                    if rlen != prev_rlen:
-                        term = term_get(rlen)
-                        if term is None:
-                            term = terms[rlen] = (
-                                ser_per_tuple + rlen * ser_per_byte
-                                + enqueue_cost)
-                        prev_rlen = rlen
-                    cost += term
-                if fi >= n:
-                    blen += n - i
-                    break
-                tcost = ser_per_tuple + rlens[fi] * ser_per_byte
-                end = fi + 1
-                append(_TrainChunk(data, bounds, rlens, ests, objs,
-                                   all_fast, tstream, seg, end))
-                buffer.tuples += end - seg
-                seg = end
-                dcost = enqueue_cost
-                dcost += self._flush_address(address)
-                blen = 0
-                tcost += dcost
-                cost += tcost
-                i = end
-            if seg < n:
-                append(_TrainChunk(data, bounds, rlens, ests, objs,
-                                   all_fast, tstream, seg, n))
-                buffer.tuples += n - seg
-        else:
-            for stream_tuple in stream_tuples:
-                encoded, all_scalar = encode_tuple_scalar(stream_tuple)
-                tcost = ser_per_tuple + len(encoded) * ser_per_byte
-                if stream_tuple.trace_id is not None:
-                    self._trace_serialized(stream_tuple, len(encoded), tcost)
-                append((encoded, stream_tuple if all_scalar else None))
-                buffer.tuples += 1
-                blen += 1
-                dcost = enqueue_cost
-                if blen >= batch_size:
-                    dcost += self._flush_address(address)
-                    blen = 0
-                tcost += dcost
-                cost += tcost
-        sent = len(stream_tuples)
-        # Counter/ledger bumps are coalesced: nothing outside this call
-        # can observe them before it returns (frame forwarding is
-        # event-scheduled, never inline).
-        self.tuples_sent += sent
-        self.serializations += sent
-        if self.ledger is not None:
-            self.ledger.record_sent(self.app_id, sent)
-        return cost
+        destination. Exactly ``send(t, [dst])`` per tuple with the costs
+        summed — :meth:`send_interleaved` with zero ``pre_cost`` and
+        start (``x + 0.0 == x`` for every non-negative cost)."""
+        return self.send_interleaved(stream_tuples, dst, 0.0, 0.0)
 
     def send_interleaved(self, stream_tuples: Sequence[StreamTuple],
                          dst: _DstKey, pre_cost: float,
                          cost: float, uniform: bool = False) -> float:
         """Batched replay of the executor's per-tuple spout dispatch:
         ``for t: cost += pre_cost; cost += send(t, [dst])`` with the
-        identical float-addition sequence on the running ``cost`` (the
-        per-tuple send total is assembled serialize-then-enqueue exactly
-        as :meth:`send` does). One call frame per emission batch instead
-        of two per tuple.
+        identical float-addition sequence on the running ``cost``. One
+        call frame per emission batch instead of two per tuple.
 
         ``uniform=True`` is the caller's pledge that the whole batch
         came off one collector's fast-sink lane — one shared
         ``(stream, source_worker)`` envelope, no anchor/trace/seq
         stamps — unlocking :func:`encode_train_uniform`'s tightened
         single-pass encode. Bytes and costs are unchanged either way."""
-        if not stream_tuples:
-            return cost
-        if self.closed:
-            # send() would return 0.0 per tuple; += 0.0 is a bit-exact
-            # no-op on a finite cost, so only pre_cost remains.
-            for _ in stream_tuples:
-                cost += pre_cost
-            return cost
-        costs = self.costs
-        ser_per_tuple = costs.serialize_per_tuple
-        ser_per_byte = costs.serialize_per_byte
         address = self._addr_cache.get(dst)
         if address is None:
             if isinstance(dst, WorkerAddress):
@@ -679,148 +519,46 @@ class TyphoonTransport(Transport):
             else:
                 address = self._addr_cache[dst] = WorkerAddress(self.app_id,
                                                                 dst)
-        buffers = self._buffers
-        buffer = buffers.get(address)
-        if buffer is None:
-            buffer = buffers[address] = _SendBuffer()
-        # _flush_address clears the list in place, so the alias holds
-        # and the tracked length resets to zero at each flush point.
-        append = buffer.append
-        enqueue_cost = self._enqueue_cost
-        batch_size = self.batch_size
-        blen = buffer.tuples
-        # Train fast path (see :meth:`send_many`): one contiguous
-        # whole-batch encode queued chunk-per-flush-window, identical
-        # per-tuple cost accumulation, fast-lane objects released to
-        # the transport.
-        if uniform:
-            first = stream_tuples[0]
-            train = encode_train_uniform(stream_tuples, first.stream,
-                                         first.source_worker)
-        else:
-            train = encode_train(stream_tuples)
-        if train is not None:
-            data, bounds, rlens, ests, objs, tstream = train
-            all_fast = objs is None
-            # Blanking hoisted out of the cost loop (see send_many);
-            # chunks get their own objs list because the executor
-            # clears the pending list it passed in.
-            if all_fast:
-                for obj in stream_tuples:
-                    obj.source_component = ""
-                objs = list(stream_tuples)
-            else:
-                for obj in objs:
-                    if obj is not None:
-                        obj.source_component = ""
-            terms = self._train_terms
-            term_get = terms.get
-            n = len(objs)
-            seg = 0
-            prev_rlen = -1
-            term = 0.0
-            # Flush positions are arithmetic (every batch_size-th
-            # tuple), so the per-tuple loop splits into flush-delimited
-            # runs: inside a run there is no batch-counter bookkeeping
-            # and no branch — just the replayed cost additions, with
-            # the memoized (serialize + enqueue) term refreshed only
-            # when the record length changes (identical float
-            # expression, same operation order as the per-tuple walk).
-            i = 0
-            while i < n:
-                # A shrunken batch_size (control tuple) can leave the
-                # buffer over-full; the first tuple then flushes at
-                # once, as in the per-tuple walk.
-                fi = i + (batch_size - 1 - blen)
-                if fi < i:
-                    fi = i
-                stop = fi if fi < n else n
-                for rlen in rlens[i:stop]:
-                    cost += pre_cost
-                    if rlen != prev_rlen:
-                        term = term_get(rlen)
-                        if term is None:
-                            term = terms[rlen] = (
-                                ser_per_tuple + rlen * ser_per_byte
-                                + enqueue_cost)
-                        prev_rlen = rlen
-                    cost += term
-                if fi >= n:
-                    blen += n - i
-                    break
-                # Tuple fi fills the batch window: queue the chunk so
-                # far and flush, exactly as the per-tuple walk does.
-                cost += pre_cost
-                tcost = ser_per_tuple + rlens[fi] * ser_per_byte
-                end = fi + 1
-                append(_TrainChunk(data, bounds, rlens, ests, objs,
-                                   all_fast, tstream, seg, end))
-                buffer.tuples += end - seg
-                seg = end
-                dcost = enqueue_cost
-                dcost += self._flush_address(address)
-                blen = 0
-                tcost += dcost
-                cost += tcost
-                i = end
-            if seg < n:
-                append(_TrainChunk(data, bounds, rlens, ests, objs,
-                                   all_fast, tstream, seg, n))
-                buffer.tuples += n - seg
-        else:
-            for stream_tuple in stream_tuples:
-                cost += pre_cost
-                encoded, all_scalar = encode_tuple_scalar(stream_tuple)
-                tcost = ser_per_tuple + len(encoded) * ser_per_byte
-                if stream_tuple.trace_id is not None:
-                    self._trace_serialized(stream_tuple, len(encoded), tcost)
-                append((encoded, stream_tuple if all_scalar else None))
-                buffer.tuples += 1
-                blen += 1
-                dcost = enqueue_cost
-                if blen >= batch_size:
-                    dcost += self._flush_address(address)
-                    blen = 0
-                tcost += dcost
-                cost += tcost
-        sent = len(stream_tuples)
-        self.tuples_sent += sent
-        self.serializations += sent
-        if self.ledger is not None:
-            self.ledger.record_sent(self.app_id, sent)
-        return cost
+        return self._send_train(stream_tuples, address, pre_cost, cost,
+                                uniform)
 
     def send_broadcast(self, stream_tuple: StreamTuple,
                        dst_worker_ids: Sequence[int]) -> float:
         """One packet with the broadcast destination; the switch replicates
         to as many destinations as the one-to-many rule lists (§3.3.1)."""
-        if self.closed:
-            return 0.0
-        encoded, all_scalar = encode_tuple_scalar(stream_tuple)
-        cost = serialize_cost(self.costs, len(encoded))
-        self.serializations += 1
-        self._trace_serialized(stream_tuple, len(encoded), cost)
-        cost += self._enqueue(BROADCAST, encoded,
-                              stream_tuple if all_scalar else None)
-        return cost
+        return self.send(stream_tuple, (BROADCAST,))
 
     def send_broadcast_interleaved(self, stream_tuples: Sequence[StreamTuple],
                                    dst_worker_ids: Sequence[int],
                                    pre_cost: float, cost: float,
                                    uniform: bool = False) -> float:
         """Batched :meth:`send_broadcast` with the executor's per-tuple
-        ``cost += pre_cost`` interleaving replayed bit-exactly (the
-        per-tuple broadcast total is assembled serialize-then-enqueue
-        exactly as :meth:`send_broadcast` does). Each tuple is still one
-        broadcast record — the switch's one-to-many rule replicates the
-        frames — but the whole train is encoded in a single pass.
-        ``uniform=True`` carries the same fast-sink pledge as in
-        :meth:`send_interleaved`."""
+        ``cost += pre_cost`` interleaving replayed bit-exactly. Each
+        tuple is still one broadcast record — the switch's one-to-many
+        rule replicates the frames — but the whole train is encoded in a
+        single pass. ``uniform`` as in :meth:`send_interleaved`."""
+        return self._send_train(stream_tuples, BROADCAST, pre_cost, cost,
+                                uniform)
+
+    def _send_train(self, stream_tuples: Sequence[StreamTuple],
+                    address: WorkerAddress, pre_cost: float, cost: float,
+                    uniform: bool) -> float:
+        """The one batched send body: ``for t: cost += pre_cost; cost +=
+        send(t, (address,))`` on the running ``cost``, bit-exactly.
+
+        Train fast path: the whole batch is encoded into one contiguous
+        length-prefixed buffer, queued chunk-per-flush-window instead of
+        record-per-tuple. A train encodes only when no tuple is
+        anchored/traced/sequenced; a stamped batch replays through
+        :meth:`send` tuple by tuple. Fast-lane objects are released to
+        the transport here — blanking source_component marks them
+        adoptable by the first local receiver (see
+        :class:`_TrainAnnotation`)."""
         if not stream_tuples:
             return cost
         if self.closed:
-            # send_broadcast() would return 0.0 per tuple; += 0.0 is a
-            # bit-exact no-op on a finite cost, so only pre_cost remains.
+            # send() would return 0.0 per tuple; += 0.0 is a bit-exact
+            # no-op on a finite cost, so only pre_cost remains.
             for _ in stream_tuples:
                 cost += pre_cost
             return cost
@@ -831,27 +569,35 @@ class TyphoonTransport(Transport):
         else:
             train = encode_train(stream_tuples)
         if train is None:
-            # Anchored/traced/sequenced batch: replay per tuple.
+            # For one destination send() returns ser + (enqueue [+
+            # flush]): the same float expression the train loop builds.
+            dsts = (address,)
+            send = self.send
             for stream_tuple in stream_tuples:
                 cost += pre_cost
-                cost += self.send_broadcast(stream_tuple, dst_worker_ids)
+                cost += send(stream_tuple, dsts)
             return cost
         costs = self.costs
         ser_per_tuple = costs.serialize_per_tuple
         ser_per_byte = costs.serialize_per_byte
         buffers = self._buffers
-        buffer = buffers.get(BROADCAST)
+        buffer = buffers.get(address)
         if buffer is None:
-            buffer = buffers[BROADCAST] = _SendBuffer()
+            buffer = buffers[address] = _SendBuffer()
+        # _flush_address clears the list in place, so the alias holds
+        # and the tracked length resets to zero at each flush point.
         append = buffer.append
         enqueue_cost = self._enqueue_cost
         batch_size = self.batch_size
         blen = buffer.tuples
         data, bounds, rlens, ests, objs, tstream = train
         all_fast = objs is None
-        # Blanking hoisted out of the cost loop (see send_many); chunks
-        # get their own objs list because the executor clears the
-        # pending list it passed in.
+        # Blanking is hoisted out of the cost loop: nothing observes the
+        # tuples between per-tuple iterations (frame forwarding is
+        # event-scheduled, never inline), so the store order is
+        # unobservable. objs None means "all fast — the input run
+        # itself"; chunks need their own list because the executor
+        # reuses (clears in place) the pending list it passed in.
         if all_fast:
             for obj in stream_tuples:
                 obj.source_component = ""
@@ -866,12 +612,18 @@ class TyphoonTransport(Transport):
         seg = 0
         prev_rlen = -1
         term = 0.0
-        # Flush-delimited runs (see send_interleaved): no per-tuple
-        # batch-counter bookkeeping, memoized (serialize + enqueue)
-        # term refreshed only when the record length changes —
-        # identical float expression, same operation order.
+        # Flush positions are arithmetic (every batch_size-th tuple), so
+        # the per-tuple loop splits into flush-delimited runs: inside a
+        # run there is no batch-counter bookkeeping and no branch — just
+        # the replayed cost additions, with the memoized (serialize +
+        # enqueue) term refreshed only when the record length changes
+        # (identical float expression, same operation order as the
+        # per-tuple walk).
         i = 0
         while i < n:
+            # A shrunken batch_size (control tuple) can leave the buffer
+            # over-full; the first tuple then flushes at once, as in the
+            # per-tuple walk.
             fi = i + (batch_size - 1 - blen)
             if fi < i:
                 fi = i
@@ -887,8 +639,9 @@ class TyphoonTransport(Transport):
                     prev_rlen = rlen
                 cost += term
             if fi >= n:
-                blen += n - i
                 break
+            # Tuple fi fills the batch window: queue the chunk so far and
+            # flush, exactly as the per-tuple walk does.
             cost += pre_cost
             tcost = ser_per_tuple + rlens[fi] * ser_per_byte
             end = fi + 1
@@ -897,7 +650,7 @@ class TyphoonTransport(Transport):
             buffer.tuples += end - seg
             seg = end
             dcost = enqueue_cost
-            dcost += self._flush_address(BROADCAST)
+            dcost += self._flush_address(address)
             blen = 0
             tcost += dcost
             cost += tcost
@@ -906,11 +659,13 @@ class TyphoonTransport(Transport):
             append(_TrainChunk(data, bounds, rlens, ests, objs,
                                all_fast, tstream, seg, n))
             buffer.tuples += n - seg
-        sent = n
-        self.tuples_sent += sent
-        self.serializations += sent
+        # Counter/ledger bumps are coalesced: nothing outside this call
+        # can observe them before it returns (frame forwarding is
+        # event-scheduled, never inline).
+        self.tuples_sent += n
+        self.serializations += n
         if self.ledger is not None:
-            self.ledger.record_sent(self.app_id, sent)
+            self.ledger.record_sent(self.app_id, n)
         return cost
 
     def send_offloaded(self, stream_tuple: StreamTuple, edge_key,
@@ -920,20 +675,14 @@ class TyphoonTransport(Transport):
         if self.closed:
             return 0.0
         address = self.select_addresses.get(edge_key)
-        if address is None:
-            if not dst_worker_ids:
-                return 0.0
-            counter = self._rr_counters.get(edge_key, 0)
-            self._rr_counters[edge_key] = counter + 1
-            index = counter % len(dst_worker_ids)
-            return self.send(stream_tuple, [dst_worker_ids[index]])
-        encoded = encode_tuple(stream_tuple)
-        cost = serialize_cost(self.costs, len(encoded))
-        self.serializations += 1
-        self._trace_serialized(stream_tuple, len(encoded), cost)
-        cost += self._enqueue(address, encoded,
-                              self._fastlane_obj(stream_tuple))
-        return cost
+        if address is not None:
+            return self.send(stream_tuple, (address,))
+        if not dst_worker_ids:
+            return 0.0
+        counter = self._rr_counters.get(edge_key, 0)
+        self._rr_counters[edge_key] = counter + 1
+        index = counter % len(dst_worker_ids)
+        return self.send(stream_tuple, [dst_worker_ids[index]])
 
     def send_to_controller(self, stream_tuple: StreamTuple) -> float:
         """Framework-layer reply path (METRIC_RESP): flushed immediately."""
@@ -1125,6 +874,24 @@ class TyphoonTransport(Transport):
             cost += term
         return cost
 
+    def _deliver(self, frame: EthernetFrame, tuples: List[StreamTuple],
+                 cost: float, est: Optional[int],
+                 stream: Optional[int]) -> bool:
+        """Hand one frame's tuples to the executor with any banked
+        partial-tuple cost, and account them delivered or rejected."""
+        cost += self._pending_recv_cost
+        self._pending_recv_cost = 0.0
+        accepted = self.deliver(Delivery(tuples=tuples, cost=cost,
+                                         nbytes=est, stream=stream))
+        if self.ledger is not None:
+            scope = self._frame_scope(frame)
+            if accepted:
+                self.ledger.record_delivered(scope, len(tuples))
+            else:
+                self.ledger.record_drop(scope, LAYER_TRANSPORT,
+                                        R_DELIVER_REJECTED, len(tuples))
+        return accepted
+
     def _on_frame(self, frame: EthernetFrame, _tun_dst: Optional[str]) -> None:
         if self.closed or self.deliver is None:
             if self.ledger is not None:
@@ -1182,20 +949,8 @@ class TyphoonTransport(Transport):
                 # The store-sizer estimate was precomputed (exact
                 # integer arithmetic) at encode time.
                 cost = self._add_recv_terms(cost, annotated.rlens[start:end])
-                est = annotated.est
-                cost += self._pending_recv_cost
-                self._pending_recv_cost = 0.0
-                accepted = self.deliver(Delivery(tuples=tuples, cost=cost,
-                                                 nbytes=est,
-                                                 stream=annotated.stream))
-                if self.ledger is not None:
-                    scope = self._frame_scope(frame)
-                    if accepted:
-                        self.ledger.record_delivered(scope, len(tuples))
-                    else:
-                        self.ledger.record_drop(scope, LAYER_TRANSPORT,
-                                                R_DELIVER_REJECTED,
-                                                len(tuples))
+                self._deliver(frame, tuples, cost, annotated.est,
+                              annotated.stream)
                 return
             tuples = []
             append = tuples.append
@@ -1262,17 +1017,7 @@ class TyphoonTransport(Transport):
                             est += len(value)
                         else:
                             est += 8
-            cost += self._pending_recv_cost
-            self._pending_recv_cost = 0.0
-            accepted = self.deliver(Delivery(tuples=tuples, cost=cost,
-                                             nbytes=est))
-            if self.ledger is not None:
-                scope = self._frame_scope(frame)
-                if accepted:
-                    self.ledger.record_delivered(scope, len(tuples))
-                else:
-                    self.ledger.record_drop(scope, LAYER_TRANSPORT,
-                                            R_DELIVER_REJECTED, len(tuples))
+            self._deliver(frame, tuples, cost, est, None)
             return
         tracer = self._live_tracer()
         payload = frame.payload
@@ -1313,17 +1058,7 @@ class TyphoonTransport(Transport):
                              cost=tuple_cost, nbytes=len(complete))
             tuples = [stream_tuple]
             est = stream = None
-        cost += self._pending_recv_cost
-        self._pending_recv_cost = 0.0
-        accepted = self.deliver(Delivery(tuples=tuples, cost=cost, nbytes=est,
-                                         stream=stream))
-        if self.ledger is not None:
-            scope = self._frame_scope(frame)
-            if accepted:
-                self.ledger.record_delivered(scope, len(tuples))
-            else:
-                self.ledger.record_drop(scope, LAYER_TRANSPORT,
-                                        R_DELIVER_REJECTED, len(tuples))
+        accepted = self._deliver(frame, tuples, cost, est, stream)
         if not accepted and tracer is not None:
             for stream_tuple in tuples:
                 if stream_tuple.trace_id is not None:

@@ -948,17 +948,9 @@ class WorkerExecutor:
                     del pending[plen:]
                     buffered[:0] = [(st, None) for st in tail]
                 if pending:
-                    k = len(pending)
-                    if fast_bcast:
-                        cost = transport.send_broadcast_interleaved(
-                            pending, fast_router.next_hops, app_compute,
-                            cost, uniform=True)
-                    else:
-                        fast_router.advance(k)
-                        cost = transport.send_interleaved(
-                            pending, fast_router.next_hops[0], app_compute,
-                            cost, uniform=True)
-                    marked += k
+                    cost = self._send_run(pending, fast_router, fast_bcast,
+                                          app_compute, cost, uniform=True)
+                    marked += len(pending)
                     pending = []
                 if marked:
                     # The crash callback may snapshot stats; flush the
@@ -1020,17 +1012,9 @@ class WorkerExecutor:
             # Fallback: dispatch any deferred run first, then handle
             # this iteration exactly as the per-tuple path would.
             if pending:
-                k = len(pending)
-                if fast_bcast:
-                    cost = transport.send_broadcast_interleaved(
-                        pending, fast_router.next_hops, app_compute, cost,
-                        uniform=True)
-                else:
-                    fast_router.advance(k)
-                    cost = transport.send_interleaved(
-                        pending, fast_router.next_hops[0], app_compute,
-                        cost, uniform=True)
-                marked += k
+                cost = self._send_run(pending, fast_router, fast_bcast,
+                                      app_compute, cost, uniform=True)
+                marked += len(pending)
                 if fast_sink:
                     # emit() aliases this list; clear in place.
                     pending.clear()
@@ -1112,17 +1096,9 @@ class WorkerExecutor:
                 # ahead of the crash, like completed per-tuple calls.
                 emitted += len(pending) - plen
                 if pending:
-                    k = len(pending)
-                    if fast_bcast:
-                        cost = transport.send_broadcast_interleaved(
-                            pending, fast_router.next_hops, app_compute,
-                            cost, uniform=True)
-                    else:
-                        fast_router.advance(k)
-                        cost = transport.send_interleaved(
-                            pending, fast_router.next_hops[0],
-                            app_compute, cost, uniform=True)
-                    marked += k
+                    cost = self._send_run(pending, fast_router, fast_bcast,
+                                          app_compute, cost, uniform=True)
+                    marked += len(pending)
                     pending = []
                 if marked:
                     stats.emitted += marked
@@ -1141,17 +1117,10 @@ class WorkerExecutor:
                     # a per-call replay (no call boundaries survive a
                     # batch).
                     if pending:
-                        k = len(pending)
-                        if fast_bcast:
-                            cost = transport.send_broadcast_interleaved(
-                                pending, fast_router.next_hops,
-                                app_compute, cost, uniform=True)
-                        else:
-                            fast_router.advance(k)
-                            cost = transport.send_interleaved(
-                                pending, fast_router.next_hops[0],
-                                app_compute, cost, uniform=True)
-                        marked += k
+                        cost = self._send_run(pending, fast_router,
+                                              fast_bcast, app_compute, cost,
+                                              uniform=True)
+                        marked += len(pending)
                         pending.clear()
                         plen = 0
                     extra = collector.extra_cost
@@ -1164,17 +1133,9 @@ class WorkerExecutor:
                     cost += self._dispatch_emissions()
         collector.fast_pending = None
         if pending:
-            k = len(pending)
-            if fast_bcast:
-                cost = transport.send_broadcast_interleaved(
-                    pending, fast_router.next_hops, app_compute, cost,
-                    uniform=True)
-            else:
-                fast_router.advance(k)
-                cost = transport.send_interleaved(
-                    pending, fast_router.next_hops[0], app_compute, cost,
-                    uniform=True)
-            marked += k
+            cost = self._send_run(pending, fast_router, fast_bcast,
+                                  app_compute, cost, uniform=True)
+            marked += len(pending)
         if marked:
             stats.emitted += marked
             self.emitted_meter.mark(marked)
@@ -1215,6 +1176,22 @@ class WorkerExecutor:
             return None
         return router
 
+    def _send_run(self, tuples: List[StreamTuple], router: Router,
+                  bcast: bool, pre_cost: float, cost: float,
+                  uniform: bool = False) -> float:
+        """Dispatch a deferred run of emissions on one single-hop or
+        pure-broadcast edge through one batched transport send,
+        replaying ``for t: cost += pre_cost; cost += <per-tuple send>``
+        on the running ``cost``."""
+        if bcast:
+            # Per-tuple broadcast never consults route(): the switch
+            # replicates, the router holds no policy state to advance.
+            return self.transport.send_broadcast_interleaved(
+                tuples, router.next_hops, pre_cost, cost, uniform)
+        router.advance(len(tuples))
+        return self.transport.send_interleaved(
+            tuples, router.next_hops[0], pre_cost, cost, uniform)
+
     def _dispatch_emissions(self) -> float:
         if not self.collector.buffered:
             return 0.0
@@ -1238,7 +1215,7 @@ class WorkerExecutor:
         batch = self.collector.take()
         if not tracing:
             # Whole-batch fast path (see _emit_spout_batch): one
-            # send_many call when every tuple rides one single-hop edge
+            # batched send when every tuple rides one single-hop edge
             # (or one batched broadcast when it rides a pure GROUP_ALL
             # edge — the train is encoded once, the switch replicates).
             stream = batch[0][0].stream
@@ -1256,18 +1233,10 @@ class WorkerExecutor:
                         break
             if fast_router is not None:
                 n = len(batch)
-                if fast_bcast:
-                    # Per-tuple broadcast never consults route(), so
-                    # there is no router state to advance. pre_cost 0.0
-                    # replays the slow path's bare `cost +=` additions.
-                    cost = transport.send_broadcast_interleaved(
-                        [item[0] for item in batch],
-                        fast_router.next_hops, 0.0, 0.0)
-                else:
-                    fast_router.advance(n)
-                    cost = transport.send_many(
-                        [item[0] for item in batch],
-                        fast_router.next_hops[0])
+                # pre_cost 0.0 replays the slow path's bare `cost +=`
+                # additions.
+                cost = self._send_run([item[0] for item in batch],
+                                      fast_router, fast_bcast, 0.0, 0.0)
                 self.stats.emitted += n
                 self.emitted_meter.mark(n)
                 return cost

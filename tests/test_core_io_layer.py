@@ -299,3 +299,198 @@ def test_close_drains_buffers_and_reassembly_into_ledger(engine):
         (1, "transport", R_AFTER_CLOSE): 1,
         (2, "reassembly", R_PENDING_AT_CLOSE): 1,
     }
+
+
+# -- batched senders vs the per-tuple loop ----------------------------------
+
+def _record_frames(switch):
+    """Replace the switch's ingress with a recorder: ``{in_port: [(dst,
+    payload), ...]}`` in injection order, nothing forwarded."""
+    log = {}
+
+    def inject(in_port, frame):
+        log.setdefault(in_port, []).append((frame.dst, frame.payload))
+        return True
+
+    def inject_train(in_port, frames):
+        for frame in frames:
+            inject(in_port, frame)
+
+    switch.inject = inject
+    switch.inject_train = inject_train
+    return log
+
+
+def _twins(engine, batch):
+    """Two transports on one fabric, each with its own ledger, whose
+    injected frames are recorded per port."""
+    fabric = TyphoonFabric(engine, DEFAULT_COSTS, Cluster.of_size(1))
+    log = _record_frames(fabric.host("host-0").switch)
+    twins = []
+    for worker_id in (1, 2):
+        transport = TyphoonTransport(
+            engine, DEFAULT_COSTS, worker_id, app_id=1,
+            host_fabric=fabric.host("host-0"), batch_size=batch,
+            ledger=DeliveryLedger())
+        transport.attach()
+        twins.append(transport)
+    return twins, log
+
+
+def _train(seed, n, stamped):
+    """A seeded batch of tuples on one (stream, source) envelope. Values
+    mix every scalar type with occasional containers and over-MTU
+    strings; ``stamped`` anchors, traces or sequences some tuples."""
+    import random
+
+    from repro.streaming.tuples import Anchor
+
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        values = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.randrange(9)
+            if kind == 0:
+                values.append(rng.randint(-2 ** 40, 2 ** 40))
+            elif kind == 1:
+                values.append(rng.random())
+            elif kind == 2:
+                values.append("w" * rng.randint(0, 12))
+            elif kind == 3:
+                values.append(bytes(rng.randrange(256)
+                                    for _ in range(rng.randint(0, 6))))
+            elif kind == 4:
+                values.append(rng.random() < 0.5)
+            elif kind == 5:
+                values.append(None)
+            elif kind == 6:
+                values.append(rng.randint(0, 1000))
+            elif kind == 7 and rng.random() < 0.3:
+                values.append([rng.randint(0, 9), "x"])
+            elif rng.random() < 0.05:
+                values.append("big" * 700)
+        stream_tuple = StreamTuple(tuple(values), stream=3,
+                                   source_component="spout", source_worker=7)
+        if stamped and rng.random() < 0.5:
+            stamp = rng.randrange(3)
+            if stamp == 0:
+                stream_tuple.anchor = Anchor(rng.randrange(1 << 32), i)
+            elif stamp == 1:
+                stream_tuple.trace_id = rng.randrange(1 << 32)
+            else:
+                stream_tuple.seq = (1, i)
+        out.append(stream_tuple)
+    return out
+
+
+def _uniform_ok(tuples):
+    return all(t.anchor is None and t.trace_id is None and t.seq is None
+               for t in tuples)
+
+
+_BATCHED_CASES = [
+    (method, pre_cost, stamped, setup, seed)
+    for method in ("send_many", "send_interleaved",
+                   "send_broadcast_interleaved")
+    for pre_cost in (0.0, 3.7e-6)
+    if not (method == "send_many" and pre_cost)
+    for stamped in (False, True)
+    for setup in ("empty", "prefilled", "shrunk", "closed")
+    for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize("method,pre_cost,stamped,setup,seed",
+                         _BATCHED_CASES)
+def test_batched_senders_match_per_tuple_loop(engine, method, pre_cost,
+                                              stamped, setup, seed):
+    """Each batched sender returns the same float as the per-tuple loop
+    it replays and leaves the same frames, buffers and counters."""
+    (batched, reference), log = _twins(engine, batch=10)
+    bcast = method == "send_broadcast_interleaved"
+    dst = BROADCAST if bcast else 5
+    for transport in (batched, reference):
+        if setup in ("prefilled", "shrunk"):
+            for stream_tuple in _train(seed + 100, 7, False):
+                if bcast:
+                    transport.send_broadcast(stream_tuple, [5, 6])
+                else:
+                    transport.send(stream_tuple, [dst])
+        if setup == "shrunk":
+            transport.set_batch_size(3)
+        elif setup == "closed":
+            transport.close()
+    start = 0.0 if method == "send_many" else 0.25
+    for n in (1, 23, 4):
+        for uniform in (False, True):
+            tuples = _train(seed * 10 + n + 50 * uniform, n, stamped)
+            twin = _train(seed * 10 + n + 50 * uniform, n, stamped)
+            if uniform and (method == "send_many" or not _uniform_ok(tuples)):
+                continue
+            if method == "send_many":
+                got = batched.send_many(tuples, dst)
+            elif bcast:
+                got = batched.send_broadcast_interleaved(
+                    tuples, [5, 6], pre_cost, start, uniform=uniform)
+            else:
+                got = batched.send_interleaved(tuples, dst, pre_cost, start,
+                                               uniform=uniform)
+            want = start
+            for stream_tuple in twin:
+                want += pre_cost
+                if bcast:
+                    want += reference.send_broadcast(stream_tuple, [5, 6])
+                else:
+                    want += reference.send(stream_tuple, [dst])
+            assert got == want
+    assert batched.pending_tuples() == reference.pending_tuples()
+    assert batched.flush() == reference.flush()
+    assert batched.tuples_sent == reference.tuples_sent
+    assert batched.serializations == reference.serializations
+    assert batched.frames_sent == reference.frames_sent
+    assert batched.ledger.sent == reference.ledger.sent
+    assert batched.ledger.drops == reference.ledger.drops
+    if setup == "closed":
+        assert batched.tuples_sent == 0 and not log
+    else:
+        assert batched.tuples_sent > 0
+        assert log[batched.port_no] == log[reference.port_no]
+        assert {frame_dst for frame_dst, _ in log[batched.port_no]} == {
+            WorkerAddress(1, 5) if not bcast else BROADCAST}
+
+
+@pytest.mark.parametrize("values,fast", [
+    (("word", 3, 2.5, b"\x00", True, None), True),
+    (("word", [1, 2]), False),
+    (({"k": 1},), False),
+])
+def test_offloaded_select_path_enqueues_to_select_address(engine, values,
+                                                          fast):
+    """An edge with a select address is serialized once and buffered for
+    the switch's select group: the cost is serialize + enqueue, and the
+    flushed frame addresses the group and carries the encoded tuple."""
+    from repro.core.rules import select_address
+    from repro.core.packets import unpack_payload
+    from repro.streaming.serialize import encode_tuple, serialize_cost
+
+    fabric = TyphoonFabric(engine, DEFAULT_COSTS, Cluster.of_size(1))
+    sender, _ = make_transport(engine, fabric, 1, batch=100)
+    edge = ("count", 0)
+    address = select_address(1, "count", 0)
+    sender.select_addresses[edge] = address
+    stream_tuple = StreamTuple(values, source_worker=1)
+    encoded = encode_tuple(stream_tuple)
+    frames = []
+    fabric.host("host-0").switch.inject = (
+        lambda in_port, frame: frames.append(frame) or True)
+    cost = sender.send_offloaded(stream_tuple, edge, [2, 3])
+    assert cost == (serialize_cost(DEFAULT_COSTS, len(encoded))
+                    + DEFAULT_COSTS.typhoon_enqueue_per_tuple)
+    assert sender.serializations == 1 and sender.tuples_sent == 1
+    assert sender.pending_tuples() == 1
+    sender.flush()
+    assert len(frames) == 1
+    assert frames[0].dst == address
+    assert unpack_payload(frames[0].payload) == [encoded]
+    assert (frames[0].tuples is not None) is fast
