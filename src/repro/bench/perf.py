@@ -364,10 +364,9 @@ def _switch_cache_stats(cluster) -> Dict[str, float]:
 
 def _train_counters(cluster, topology_id: str,
                     components=("source", "sink")) -> Dict[str, int]:
-    """Tuple-train counters summed over a topology's transports and the
-    fabric switches: tuples accepted for send, fused (whole-window)
-    flushes and the tuples they carried, and the switch-side train
-    injections / frames they fanned out to."""
+    """Tuple-train counters summed over a topology's transports: tuples
+    accepted for send, and fused (whole-window) flushes and the tuples
+    they carried."""
     sent = flushes = fused = 0
     for component in components:
         for executor in cluster.executors_for(topology_id, component):
@@ -379,9 +378,6 @@ def _train_counters(cluster, topology_id: str,
         "tuples_sent": sent,
         "fused_flushes": flushes,
         "fused_tuples": fused,
-        "switch_trains": sum(s.trains for s in cluster.fabric.switches()),
-        "switch_train_frames": sum(s.train_frames
-                                   for s in cluster.fabric.switches()),
     }
 
 
@@ -396,9 +392,6 @@ def _train_metrics(pre: Dict[str, int], post: Dict[str, int],
         "fast_path_fraction": fused / sent if sent else 0.0,
         "trains_per_wall_sec": flushes / wall if wall else 0.0,
         "avg_train_tuples": fused / flushes if flushes else 0.0,
-        "switch_trains": post["switch_trains"] - pre["switch_trains"],
-        "switch_train_frames": (post["switch_train_frames"]
-                                - pre["switch_train_frames"]),
     }
 
 
@@ -616,13 +609,10 @@ def render_report(result: Dict[str, Any]) -> str:
         trains = fig8.get("trains")
         if trains:
             lines.append("trains: %.0f/s, %.1f tuples avg, "
-                         "fast-path fraction %.4f, "
-                         "%d switch trains -> %d frames"
+                         "fast-path fraction %.4f"
                          % (trains["trains_per_wall_sec"],
                             trains["avg_train_tuples"],
-                            trains["fast_path_fraction"],
-                            trains["switch_trains"],
-                            trains["switch_train_frames"]))
+                            trains["fast_path_fraction"]))
         eng = fig8["engine"]
         lines.append("engine: %.0f events per wall second, "
                      "%.3f heap ops/event, %.4f allocs/event, "

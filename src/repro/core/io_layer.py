@@ -162,24 +162,6 @@ class TyphoonFabric:
 #: special Ethernet address (broadcast, controller, select-group virtual).
 _DstKey = Union[int, WorkerAddress]
 
-class _TrainAnnotation(list):
-    """Frame annotation for a tuple train whose objects the sender's
-    batched send path has released: every item is an ``(obj, nbytes)``
-    pair whose ``obj`` the transport owns outright (its
-    ``source_component`` was blanked at buffering time), so the *first*
-    local delivery may adopt the objects by reference instead of
-    cloning. ``claimed`` arms after that first delivery — replicated
-    frames (broadcast rules, debug mirrors) share one annotation object
-    through ``EthernetFrame.with_dst``, and each extra delivery must
-    get its own clones exactly as the legacy annotation path does."""
-
-    __slots__ = ("claimed",)
-
-    def __init__(self):
-        super().__init__()
-        self.claimed = False
-
-
 class _TrainChunk:
     """A contiguous run of records from one encoded train.
 
@@ -225,8 +207,9 @@ class _ChunkAnnotation:
     delivery adopts the whole window with one list slice. ``est`` is
     the window's precomputed store-sizer charge (an exact integer —
     see ``ests`` in :func:`repro.streaming.serialize.encode_train`).
-    ``claimed`` has :class:`_TrainAnnotation` semantics: replicated
-    frames share this object, and every delivery after the first
+    ``claimed`` arms after that first delivery: replicated frames
+    (broadcast rules, debug mirrors) share this object through
+    ``EthernetFrame.with_dst``, and every delivery after the first
     clones."""
 
     __slots__ = ("objs", "rlens", "stream", "start", "end", "est",
@@ -552,8 +535,8 @@ class TyphoonTransport(Transport):
         anchored/traced/sequenced; a stamped batch replays through
         :meth:`send` tuple by tuple. Fast-lane objects are released to
         the transport here — blanking source_component marks them
-        adoptable by the first local receiver (see
-        :class:`_TrainAnnotation`)."""
+        adoptable by the first local receiver of a fused single-chunk
+        flush (see :class:`_ChunkAnnotation`)."""
         if not stream_tuples:
             return cost
         if self.closed:
@@ -818,7 +801,7 @@ class TyphoonTransport(Transport):
             annotation = None
             if span is not None:
                 start, end = span
-                annotation = _TrainAnnotation()
+                annotation = []
                 for j in range(start, end):
                     obj = items[j][1]
                     if obj is None:
@@ -829,10 +812,6 @@ class TyphoonTransport(Transport):
                                         ethertype=TYPHOON_ETHERTYPE,
                                         payload=payload, tuples=annotation))
         self.frames_sent += len(frames)
-        # The whole flush rides one switch call: the train fast path
-        # classifies the shared header once and replays the per-frame
-        # busy-server arithmetic (identical schedule), falling back to
-        # per-frame inject whenever anything non-trivial is armed.
         if len(frames) == 1:
             self.switch.inject(self.port_no, frames[0])
         elif frames:
@@ -930,8 +909,8 @@ class TyphoonTransport(Transport):
                     tuples = objs[start:end]
                 else:
                     # Replicated frame (broadcast rule, debug mirror):
-                    # clone field-by-field exactly as the legacy
-                    # annotation path does.
+                    # clone field-by-field exactly as the list
+                    # annotation path below does.
                     new = StreamTuple.__new__
                     tuples = []
                     append = tuples.append
@@ -958,65 +937,32 @@ class TyphoonTransport(Transport):
             # fast-lane values are guaranteed *exact* scalar types, so
             # the exact-type size checks below reproduce the sizer's
             # isinstance-based estimate identically, and the walk rides
-            # the clone/adopt loop instead of a second pass per store op.
+            # the clone loop instead of a second pass per store op.
             est = 0
-            if type(annotated) is _TrainAnnotation and not annotated.claimed:
-                # First local delivery of a released train: adopt the
-                # sender's objects by reference — the batched send path
-                # already blanked source_component, so each object *is*
-                # what the clone below would have built. Items buffered
-                # by a non-batched send (mixed buffer) still carry their
-                # component name and get a real clone.
-                annotated.claimed = True
-                new = StreamTuple.__new__
-                for src_tuple, nbytes in annotated:
-                    cost += per_tuple + nbytes * per_byte
-                    if src_tuple.source_component:
-                        out = new(StreamTuple)
-                        values = src_tuple.values
-                        out.values = values
-                        out.stream = src_tuple.stream
-                        out.source_component = ""
-                        out.source_worker = src_tuple.source_worker
-                        out.anchor = src_tuple.anchor
-                        out.trace_id = src_tuple.trace_id
-                        out.seq = src_tuple.seq
-                        append(out)
+            new = StreamTuple.__new__
+            for src_tuple, nbytes in annotated:
+                cost += per_tuple + nbytes * per_byte
+                # Field-by-field clone via __new__ (hot path):
+                # matches what decode_tuple would build —
+                # source_component is reset to "", everything else
+                # carried over.
+                out = new(StreamTuple)
+                values = src_tuple.values
+                out.values = values
+                out.stream = src_tuple.stream
+                out.source_component = ""
+                out.source_worker = src_tuple.source_worker
+                out.anchor = src_tuple.anchor
+                out.trace_id = src_tuple.trace_id
+                out.seq = src_tuple.seq
+                append(out)
+                est += 80
+                for value in values:
+                    kind = type(value)
+                    if kind is str or kind is bytes:
+                        est += len(value)
                     else:
-                        values = src_tuple.values
-                        append(src_tuple)
-                    est += 80
-                    for value in values:
-                        kind = type(value)
-                        if kind is str or kind is bytes:
-                            est += len(value)
-                        else:
-                            est += 8
-            else:
-                new = StreamTuple.__new__
-                for src_tuple, nbytes in annotated:
-                    cost += per_tuple + nbytes * per_byte
-                    # Field-by-field clone via __new__ (hot path):
-                    # matches what decode_tuple would build —
-                    # source_component is reset to "", everything else
-                    # carried over.
-                    out = new(StreamTuple)
-                    values = src_tuple.values
-                    out.values = values
-                    out.stream = src_tuple.stream
-                    out.source_component = ""
-                    out.source_worker = src_tuple.source_worker
-                    out.anchor = src_tuple.anchor
-                    out.trace_id = src_tuple.trace_id
-                    out.seq = src_tuple.seq
-                    append(out)
-                    est += 80
-                    for value in values:
-                        kind = type(value)
-                        if kind is str or kind is bytes:
-                            est += len(value)
-                        else:
-                            est += 8
+                        est += 8
             self._deliver(frame, tuples, cost, est, None)
             return
         tracer = self._live_tracer()

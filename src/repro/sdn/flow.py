@@ -142,35 +142,6 @@ class Meter(Action):
     meter_id: int
 
 
-def train_forward_plan(
-        actions) -> Optional[List[Tuple[int, Optional[str]]]]:
-    """Precompile a pure-forwarding action list for the train fast path.
-
-    Returns ``[(port_no, tun_dst), ...]`` — one entry per frame copy the
-    switch would emit, with the tunnel destination in effect at that
-    output — when the action list consists solely of :class:`Output` and
-    :class:`SetTunnelDst` actions. Anything that could diverge per frame
-    or touch side machinery (meters, groups, address rewrites,
-    controller/table outputs) returns ``None``, sending the train down
-    the per-frame matching path. The switch still validates each planned
-    port (existence, up, kind) against its own tables before fusing.
-    """
-    plan: List[Tuple[int, Optional[str]]] = []
-    tun_dst: Optional[str] = None
-    for action in actions:
-        kind = type(action)
-        if kind is Output:
-            port = action.port
-            if port == OFPP_CONTROLLER:
-                return None
-            plan.append((port, tun_dst))
-        elif kind is SetTunnelDst:
-            tun_dst = action.host
-        else:
-            return None
-    return plan or None
-
-
 # -- flow entries ------------------------------------------------------------
 
 _entry_ids = itertools.count(1)

@@ -63,6 +63,10 @@ ACK_ACK = "ack"
 ACK_COMPLETE = "complete"
 ACK_FAIL = "fail"
 
+#: The executor's routers grouped by stream id: each stream maps to its
+#: ``(routers key, router)`` pairs in ``routers`` insertion order.
+_StreamEdges = Dict[int, List[Tuple[Tuple[str, int], Router]]]
+
 
 class WorkerCrashed(RuntimeError):
     """Raised internally when the user component throws."""
@@ -247,7 +251,7 @@ class _Collector(EmitterApi):
 class _RouterMap(dict):
     """The executor's ``routers`` dict with change tracking.
 
-    :meth:`WorkerExecutor._dispatch_emissions` keeps a per-stream index
+    :meth:`WorkerExecutor._edges_by_stream` keeps a per-stream index
     over this dict; any key add/remove/replace bumps ``version`` so the
     index is rebuilt lazily on the next dispatch. In-place
     :meth:`Router.update` calls need no bump — the index holds router
@@ -318,7 +322,7 @@ class WorkerExecutor:
         self.config = config
         self.transport = transport
         self.routers = _RouterMap(routers)
-        self._stream_index: Dict[int, List[Tuple[Tuple[str, int], Router]]] = {}
+        self._stream_index: _StreamEdges = {}
         self._stream_index_version = -1
         self.metrics = metrics
         self.rng = rng
@@ -894,21 +898,11 @@ class WorkerExecutor:
         next_tuple = self.component.next_tuple
         billed = self._billed_services
         app_compute = self.costs.app_compute_per_tuple
-        routers = self.routers
-        if self._stream_index_version != routers.version:
-            index: Dict[int, List[Tuple[Tuple[str, int], Router]]] = {}
-            for key, router in routers.items():
-                index.setdefault(key[1], []).append((key, router))
-            self._stream_index = index
-            self._stream_index_version = routers.version
-        index = self._stream_index
+        index = self._edges_by_stream()
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-        transport = self.transport
         stats = self.stats
         marked = 0
-        last_stream = None
-        last_edges = None
         # Deferred dispatch: the common spout shape is one emission per
         # next_tuple() call on one single-hop edge. Those tuples are
         # collected in `pending` and dispatched through a single
@@ -975,7 +969,7 @@ class WorkerExecutor:
                 if np != plen:
                     # Rare: the call emitted several fast-stream tuples
                     # (and possibly slower ones after them). Split them
-                    # off; they are routed per tuple below, before the
+                    # off; they are dispatched below, ahead of the
                     # buffered emissions, preserving call order.
                     tail = pending[plen:]
                     del pending[plen:]
@@ -1029,54 +1023,12 @@ class WorkerExecutor:
                     cost += service.drain_cost()
             if n == 0:
                 break
-            cost += app_compute * n
-            dcost = 0.0
             if tail:
-                for stream_tuple in tail:
-                    if fast_bcast:
-                        # Broadcast never consults route(): the switch
-                        # replicates, the router holds no policy state.
-                        dcost += transport.send_broadcast(
-                            stream_tuple, fast_router.next_hops)
-                    else:
-                        dsts = fast_router.route(stream_tuple)
-                        dcost += transport.send(stream_tuple, dsts)
-                    marked += 1
-            for stream_tuple, direct_dst in buffered:
-                if tracing:
-                    tracer.maybe_trace(stream_tuple,
-                                       component=self.component_name,
-                                       worker=self.worker_id,
-                                       stream=stream_tuple.stream)
-                if direct_dst is not None:
-                    dcost += transport.send(stream_tuple, [direct_dst])
-                    marked += 1
-                    continue
-                stream = stream_tuple.stream
-                if stream != last_stream:
-                    last_edges = index.get(stream)
-                    last_stream = stream
-                edges = last_edges
-                if not edges:
-                    continue
-                for key, router in edges:
-                    if router.is_broadcast:
-                        group = router.replication_group
-                        if group is not None:
-                            stream_tuple.seq = group.stamp_input(stream_tuple)
-                        dcost += transport.send_broadcast(
-                            stream_tuple, router.next_hops
-                        )
-                    elif router.is_sdn_offloaded:
-                        dcost += transport.send_offloaded(
-                            stream_tuple, key, router.next_hops
-                        )
-                    else:
-                        dsts = router.route(stream_tuple)
-                        dcost += transport.send(stream_tuple, dsts)
-                marked += 1
-            del buffered[:]
-            cost += dcost
+                buffered[:0] = [(st, None) for st in tail]
+            cost += app_compute * n
+            cost += self._dispatch_emissions()
+            # take() swapped in a fresh list; emit() appends there now.
+            buffered = collector.buffered
             emitted += n
         if handoff:
             # Whole-window handoff (batch component API): one call asks
@@ -1192,19 +1144,23 @@ class WorkerExecutor:
         return self.transport.send_interleaved(
             tuples, router.next_hops[0], pre_cost, cost, uniform)
 
-    def _dispatch_emissions(self) -> float:
-        if not self.collector.buffered:
-            return 0.0
+    def _edges_by_stream(self) -> _StreamEdges:
+        """The per-stream router index, rebuilt only when the
+        ``routers`` map changed. Insertion order is kept within each
+        stream, so per-tuple send order is unchanged."""
         routers = self.routers
         if self._stream_index_version != routers.version:
-            # Group edges by stream id, preserving dict insertion order
-            # within each stream so per-tuple send order is unchanged.
-            index: Dict[int, List[Tuple[Tuple[str, int], Router]]] = {}
+            index: _StreamEdges = {}
             for key, router in routers.items():
                 index.setdefault(key[1], []).append((key, router))
             self._stream_index = index
             self._stream_index_version = routers.version
-        index = self._stream_index
+        return self._stream_index
+
+    def _dispatch_emissions(self) -> float:
+        if not self.collector.buffered:
+            return 0.0
+        index = self._edges_by_stream()
         cost = 0.0
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled

@@ -208,7 +208,7 @@ def _run_broadcast(seed=0, sinks=3, until=3.2):
     }
 
 
-@pytest.mark.parametrize("batch_size", [1, 7, 100])
+@pytest.mark.parametrize("batch_size", [1, 7, 100, 1000])
 def test_forwarding_fused_equals_forced_per_tuple(monkeypatch, batch_size):
     fused = _run_forwarding(seed=2, batch_size=batch_size)
     with monkeypatch.context() as patch:

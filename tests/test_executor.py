@@ -1,6 +1,10 @@
 """Focused unit tests for the worker executor (framework layer)."""
 
+import random
+
 import pytest
+
+from repro.core import TyphoonCluster
 
 from repro.sim import DEFAULT_COSTS, Engine, MetricsRegistry
 from repro.sim.rng import SeedFactory
@@ -18,7 +22,7 @@ from repro.streaming import (
     signal_tuple,
 )
 from repro.streaming.executor import OutOfMemoryError
-from repro.streaming.topology import BOLT, SPOUT, Bolt, Spout
+from repro.streaming.topology import BOLT, SPOUT, Bolt, Spout, TopologyBuilder
 from repro.streaming.tuples import CONTROL_STREAM
 
 
@@ -287,3 +291,92 @@ def test_charge_negative_rejected(engine):
     executor, _ = build_executor(engine, Echo())
     with pytest.raises(ValueError):
         executor.collector.charge(-1.0)
+
+
+# -- spout loop: multi-emission calls on the deferred single-hop lane -----
+
+
+class TailSplitSpout(Spout):
+    """Each call emits 0-3 tuples on the default stream, sometimes
+    followed by a stream-2 tuple, a direct emission (once ``direct_to``
+    is set) or a ``charge()``."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.seq = 0
+        self.direct_to = None
+
+    def _next(self, tag):
+        self.seq += 1
+        return (self.seq, tag * self.rng.randint(1, 12))
+
+    def next_tuple(self, collector):
+        rng = self.rng
+        for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+            collector.emit(self._next("a"))
+        extra = rng.random()
+        if extra < 0.1:
+            collector.emit(self._next("s"), stream=2)
+        elif extra < 0.2 and self.direct_to is not None:
+            collector.emit_direct(self.direct_to, self._next("d"))
+        elif extra < 0.3:
+            collector.charge(3e-6)
+
+
+class RecordingBolt(Bolt):
+    def __init__(self):
+        self.seen = []
+
+    def execute(self, stream_tuple, collector):
+        self.seen.append((stream_tuple.stream, stream_tuple.values))
+
+
+def _run_tail_split(seed, broadcast):
+    engine = Engine()
+    cluster = TyphoonCluster(engine, num_hosts=2, seed=seed)
+    builder = TopologyBuilder("tail", TopologyConfig(batch_size=16,
+                                                     max_spout_rate=3000))
+    builder.set_spout("src", lambda: TailSplitSpout(seed), 1)
+    if broadcast:
+        builder.set_bolt("sink", RecordingBolt, 2).all_grouping("src")
+    else:
+        builder.set_bolt("sink", RecordingBolt, 1).shuffle_grouping("src")
+    builder.set_bolt("side", RecordingBolt, 1).shuffle_grouping("src",
+                                                                stream=2)
+    cluster.submit(builder.build())
+    engine.run(until=3.0)  # deployment
+    src = cluster.executors_for("tail", "src")[0]
+    sinks = cluster.executors_for("tail", "sink")
+    side = cluster.executors_for("tail", "side")[0]
+    src.component.direct_to = sinks[0].worker_id
+    engine.run(until=5.0)
+    return {
+        "sinks": [sink.component.seen for sink in sinks],
+        "side": side.component.seen,
+        "emitted": src.stats.emitted,
+        "meter": dict(src.emitted_meter._buckets),
+        "transport": (src.transport.tuples_sent, src.transport.frames_sent),
+        "ledger": (dict(cluster.ledger.sent), dict(cluster.ledger.delivered),
+                   dict(cluster.ledger.drops)),
+    }
+
+
+@pytest.mark.parametrize("broadcast", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spout_multi_emission_calls_equal_per_tuple_dispatch(monkeypatch,
+                                                             seed, broadcast):
+    """Calls that emit several default-stream tuples on the deferred
+    single-hop (or broadcast) lane split them off and route them ahead
+    of the call's other emissions: the same run with the lane disabled
+    must agree on everything observable."""
+    deferred = _run_tail_split(seed, broadcast)
+    with monkeypatch.context() as patch:
+        # No single-hop or broadcast lane: every call is routed per tuple.
+        patch.setattr(WorkerExecutor, "_single_hop_router",
+                      staticmethod(lambda edges: None))
+        patch.setattr(WorkerExecutor, "_single_broadcast_router",
+                      staticmethod(lambda edges: None))
+        per_tuple = _run_tail_split(seed, broadcast)
+    assert deferred == per_tuple
+    assert min(len(seen) for seen in deferred["sinks"]) > 1000
+    assert deferred["side"]

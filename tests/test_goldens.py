@@ -6,10 +6,13 @@ for its seed, so a digest changes only when the program's output does.
 A change that is meant to alter an output records the new digests in
 the same commit and says why in CHANGES.md.
 
-The ``fast`` entries (trace, audit and the four chaos modes on seeds 0
-and 1, a few seconds each) run here, in the tier-1 suite. The ``slow``
-entries (the fig8a/fig9 experiments, about 40 s and 100 s each) are
-checked from the command line, as the CI perf-smoke job does::
+The ``fast`` entries (trace and audit on seed 0, the four chaos modes
+on seeds 0 and 1, a few seconds each) run here, in the tier-1 suite.
+``trace``, ``audit``, ``fig8a`` and ``fig9`` print the same bytes on
+every seed, so they are locked on seed 0 only. The ``slow`` entries
+(the fig8a, fig9, fig10-typhoon and fig14 experiments, 20 s to 100 s
+each) are checked from the command line, as the CI perf-smoke job
+does::
 
     PYTHONPATH=src python tests/test_goldens.py --slow          # check
     PYTHONPATH=src python tests/test_goldens.py --write [--slow] # record

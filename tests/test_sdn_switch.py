@@ -8,8 +8,11 @@ from repro.sdn import (
     DELETE,
     FlowMod,
     FlowStatsRequest,
+    GROUP_ALL,
     GroupMod,
     Match,
+    Meter,
+    MeterMod,
     Output,
     PacketOut,
     PortStatsRequest,
@@ -23,6 +26,7 @@ from repro.sdn import (
     OFPP_TABLE,
 )
 from repro.sim import DEFAULT_COSTS, Engine
+from repro.sim.audit import DeliveryLedger
 
 
 def make_switch(engine):
@@ -253,3 +257,136 @@ def test_idle_timeout_sweeper_emits_flow_removed():
     assert len(removed) == 1
     assert removed[0].reason == "idle_timeout"
     assert len(switch.flows) == 0
+
+
+# -- multi-frame flushes: inject_train versus frame-by-frame inject -------
+
+
+def _plain(switch, ports):
+    switch.handle_message(FlowMod(ADD, Match(in_port=ports["in"]),
+                                  (Output(ports["a"]),)))
+
+
+def _tunnel(switch, ports):
+    switch.handle_message(FlowMod(ADD, Match(in_port=ports["in"]),
+                                  (SetTunnelDst("h2"), Output(ports["tun"]))))
+
+
+def _two_outputs(switch, ports):
+    switch.handle_message(FlowMod(ADD, Match(in_port=ports["in"]),
+                                  (Output(ports["a"]), Output(ports["b"]))))
+
+
+def _group(switch, ports):
+    switch.handle_message(GroupMod(ADD, 7, GROUP_ALL, (
+        Bucket((Output(ports["a"]),)), Bucket((Output(ports["b"]),)))))
+    switch.handle_message(FlowMod(ADD, Match(in_port=ports["in"]),
+                                  (GroupAction(7),)))
+
+
+def _metered(switch, ports):
+    switch.handle_message(MeterMod(ADD, 3, rate_bytes_per_sec=1e6,
+                                   burst_bytes=2000,
+                                   max_queue_seconds=0.0005))
+    switch.handle_message(FlowMod(ADD, Match(in_port=ports["in"]),
+                                  (Meter(3), Output(ports["a"]))))
+
+
+def _table_miss(switch, ports):
+    pass
+
+
+def _port_down(switch, ports):
+    _two_outputs(switch, ports)
+    switch.remove_port(ports["b"])
+
+
+def _switch_down(switch, ports):
+    _plain(switch, ports)
+    switch.crash()
+
+
+TRAIN_CASES = {
+    "plain": _plain,
+    "tunnel": _tunnel,
+    "two-outputs": _two_outputs,
+    "backlog-overflow": _plain,
+    "group": _group,
+    "meter": _metered,
+    "table-miss": _table_miss,
+    "port-down": _port_down,
+    "switch-down": _switch_down,
+}
+
+
+def _run_flush(case, as_train):
+    """Forward one 40-frame, same-headed flush through a fresh switch
+    with ``case``'s rules, as one ``inject_train`` call or frame by
+    frame; return everything the two ways must agree on."""
+    engine = Engine()
+    # One tuple per 100 payload bytes, so ledger totals see every frame.
+    ledger = DeliveryLedger(inspector=lambda f: (1, len(f.payload) // 100))
+    switch = SoftwareSwitch(engine, DEFAULT_COSTS, dpid="sw0", ledger=ledger)
+    delivered = []
+
+    def sink(name):
+        return lambda f, tun: delivered.append(
+            (engine.now, name, f.payload, tun))
+
+    ports = {"in": switch.add_port("in", lambda f, t: None)}
+    for name in ("a", "b"):
+        ports[name] = switch.add_port(name, sink(name))
+    ports["tun"] = switch.add_port("tun", sink("tun"), kind="tunnel")
+    engine.run(until=0.01)
+    # Rules, groups and meters land after the install latency.
+    engine.schedule(0.0, TRAIN_CASES[case], switch, ports)
+    engine.run(until=0.02)
+    src, dst = WorkerAddress(1, 1), WorkerAddress(1, 2)
+    frames = [typhoon_frame(src, dst, payload=b"%04d" % i + b"x" * 996)
+              for i in range(40)]
+    if case == "backlog-overflow":
+        # Nearly full forwarding backlog: the flush overflows part-way.
+        switch._busy_until = (engine.now
+                              + SoftwareSwitch.MAX_BACKLOG_SECONDS - 10e-6)
+    if as_train:
+        switch.inject_train(ports["in"], frames)
+    else:
+        for frame in frames:
+            switch.inject(ports["in"], frame)
+    busy_until = switch._busy_until
+    engine.run(until=1.0)
+    return {
+        "delivered": delivered,
+        "busy_until": busy_until,
+        "ports": {p.name: (p.rx_packets, p.rx_bytes, p.tx_packets,
+                           p.tx_bytes, p.tx_dropped)
+                  for p in switch.ports.values()},
+        "flows": [(e.packets, e.bytes) for e in switch.flows],
+        "forwarded": switch.packets_forwarded,
+        "dropped": switch.packets_dropped,
+        "misses": (switch.table_misses, switch.group_misses,
+                   switch.meter_drops),
+        "ledger": (ledger.replicated, ledger.drops, ledger.injected,
+                   ledger.controller_delivered),
+        "lookups": switch.cache_hits + switch.cache_misses,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+def test_inject_train_equals_per_frame_inject(case):
+    train = _run_flush(case, as_train=True)
+    per_frame = _run_flush(case, as_train=False)
+    del train["lookups"], per_frame["lookups"]
+    assert train == per_frame
+    if case in ("plain", "tunnel", "two-outputs", "group", "meter"):
+        assert train["delivered"]
+    if case == "backlog-overflow":
+        assert 0 < train["forwarded"] < 40
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+def test_inject_train_looks_up_each_frame(case):
+    """A multi-frame flush costs one megaflow lookup per frame that
+    reaches the table, as frame-by-frame forwarding does."""
+    train = _run_flush(case, as_train=True)
+    assert train["lookups"] == _run_flush(case, as_train=False)["lookups"]
