@@ -201,29 +201,35 @@ class _TrainChunk:
 
 
 class _ChunkAnnotation:
-    """Frame annotation for a fused single-chunk flush whose records
-    are all fast-lane eligible: shares the train's parallel arrays
-    instead of materializing per-tuple pairs, so the first local
-    delivery adopts the whole window with one list slice. ``est`` is
-    the window's precomputed store-sizer charge (an exact integer —
-    see ``ests`` in :func:`repro.streaming.serialize.encode_train`).
-    ``claimed`` arms after that first delivery: replicated frames
-    (broadcast rules, debug mirrors) share this object through
-    ``EthernetFrame.with_dst``, and every delivery after the first
-    clones."""
+    """Same-process frame annotation: records ``start..end`` of a
+    flush's ``objs``/``rlens`` arrays are the frame's tuples and their
+    serialized lengths, every tuple fast-lane eligible, so a local
+    receiver rebuilds the delivery without decoding the payload.
+
+    A fused single-chunk flush shares the train's arrays and starts
+    unclaimed: the first local delivery adopts the whole window with
+    one list slice, and ``est`` is the window's precomputed store-sizer
+    charge (an exact integer — see ``ests`` in
+    :func:`repro.streaming.serialize.encode_train`). ``claimed`` arms
+    after that first delivery: replicated frames (broadcast rules, debug
+    mirrors) share this object through ``EthernetFrame.with_dst``, and
+    every delivery after the first clones. A generic flush shares one
+    pair of arrays across its frames and starts claimed, with ``est``
+    and ``stream`` left ``None``."""
 
     __slots__ = ("objs", "rlens", "stream", "start", "end", "est",
                  "claimed")
 
     def __init__(self, objs: List[StreamTuple], rlens: List[int],
-                 stream: Optional[int], start: int, end: int, est: int):
+                 stream: Optional[int], start: int, end: int,
+                 est: Optional[int], claimed: bool = False):
         self.objs = objs
         self.rlens = rlens
         self.stream = stream
         self.start = start
         self.end = end
         self.est = est
-        self.claimed = False
+        self.claimed = claimed
 
 
 class _SendBuffer(list):
@@ -767,31 +773,32 @@ class TyphoonTransport(Transport):
                     payload=payload, tuples=annotation))
                 return cost
         # Generic path: expand any train chunks back into per-record
-        # (encoded, obj) pairs — byte-identical slices of the train —
-        # and run the full multiplex/segment machinery.
-        items: List[Tuple[bytes, Optional[StreamTuple]]] = []
+        # encodings — byte-identical slices of the train — and run the
+        # full multiplex/segment machinery.
+        records: List[bytes] = []
+        objs: List[Optional[StreamTuple]] = []
         for item in buffer:
             if type(item) is _TrainChunk:
                 data = item.data
                 bounds = item.bounds
-                objs = item.objs
                 for j in range(item.start, item.end):
-                    items.append((data[bounds[j] + 4:bounds[j + 1]],
-                                  objs[j]))
+                    records.append(data[bounds[j] + 4:bounds[j + 1]])
+                objs += item.objs[item.start:item.end]
             else:
-                items.append(item)
+                records.append(item[0])
+                objs.append(item[1])
         if tracer is not None:
             # The segment since each tuple's serialize checkpoint is the
             # time it sat in this batch buffer waiting for the flush.
             branch = address_branch(address)
-            for encoded, _obj in items:
+            for encoded in records:
                 trace_id = peek_trace_id(encoded)
                 if trace_id is not None:
                     tracer.event(trace_id, H_BATCH, branch=branch,
-                                 batch=len(items))
-        records = [item[0] for item in items]
+                                 batch=len(records))
         payloads, self._frag_id, spans = pack_tuples_spans(
             records, self.mtu, self._frag_id)
+        rlens = [len(record) for record in records]
         # One JNI crossing per batch handed to the southbound library.
         cost = costs.jni_call_overhead
         src_address = self.address
@@ -801,13 +808,12 @@ class TyphoonTransport(Transport):
             annotation = None
             if span is not None:
                 start, end = span
-                annotation = []
                 for j in range(start, end):
-                    obj = items[j][1]
-                    if obj is None:
-                        annotation = None
+                    if objs[j] is None:
                         break
-                    annotation.append((obj, len(records[j])))
+                else:
+                    annotation = _ChunkAnnotation(objs, rlens, None, start,
+                                                  end, None, claimed=True)
             frames.append(EthernetFrame(dst=address, src=src_address,
                                         ethertype=TYPHOON_ETHERTYPE,
                                         payload=payload, tuples=annotation))
@@ -893,77 +899,42 @@ class TyphoonTransport(Transport):
             # exactly); reconstruct deliveries without walking the bytes.
             # Costs are charged from the authoritative encoded lengths,
             # term for term as the decode path would.
-            per_tuple = costs.deserialize_per_tuple
-            per_byte = costs.deserialize_per_byte
-            if type(annotated) is _ChunkAnnotation:
-                start = annotated.start
-                end = annotated.end
-                objs = annotated.objs
-                if not annotated.claimed:
-                    # First local delivery of a fused train window:
-                    # adopt the sender's objects with one list slice —
-                    # the batched send path blanked every
-                    # source_component, so each object *is* what the
-                    # clone below would have built.
-                    annotated.claimed = True
-                    tuples = objs[start:end]
-                else:
-                    # Replicated frame (broadcast rule, debug mirror):
-                    # clone field-by-field exactly as the list
-                    # annotation path below does.
-                    new = StreamTuple.__new__
-                    tuples = []
-                    append = tuples.append
-                    for j in range(start, end):
-                        src_tuple = objs[j]
-                        out = new(StreamTuple)
-                        out.values = src_tuple.values
-                        out.stream = src_tuple.stream
-                        out.source_component = ""
-                        out.source_worker = src_tuple.source_worker
-                        out.anchor = src_tuple.anchor
-                        out.trace_id = src_tuple.trace_id
-                        out.seq = src_tuple.seq
-                        append(out)
-                # The store-sizer estimate was precomputed (exact
-                # integer arithmetic) at encode time.
-                cost = self._add_recv_terms(cost, annotated.rlens[start:end])
-                self._deliver(frame, tuples, cost, annotated.est,
-                              annotated.stream)
-                return
-            tuples = []
-            append = tuples.append
-            # The store's OOM sizer (delivery_bytes) is prepaid here:
-            # fast-lane values are guaranteed *exact* scalar types, so
-            # the exact-type size checks below reproduce the sizer's
-            # isinstance-based estimate identically, and the walk rides
-            # the clone loop instead of a second pass per store op.
-            est = 0
-            new = StreamTuple.__new__
-            for src_tuple, nbytes in annotated:
-                cost += per_tuple + nbytes * per_byte
-                # Field-by-field clone via __new__ (hot path):
-                # matches what decode_tuple would build —
+            start = annotated.start
+            end = annotated.end
+            objs = annotated.objs
+            if not annotated.claimed:
+                # First local delivery of a fused train window: adopt
+                # the sender's objects with one list slice — the batched
+                # send path blanked every source_component, so each
+                # object *is* what the clone below would have built.
+                annotated.claimed = True
+                tuples = objs[start:end]
+            else:
+                # Generic flush or replicated frame (broadcast rule,
+                # debug mirror): field-by-field clone via __new__,
+                # matching what decode_tuple would build —
                 # source_component is reset to "", everything else
                 # carried over.
-                out = new(StreamTuple)
-                values = src_tuple.values
-                out.values = values
-                out.stream = src_tuple.stream
-                out.source_component = ""
-                out.source_worker = src_tuple.source_worker
-                out.anchor = src_tuple.anchor
-                out.trace_id = src_tuple.trace_id
-                out.seq = src_tuple.seq
-                append(out)
-                est += 80
-                for value in values:
-                    kind = type(value)
-                    if kind is str or kind is bytes:
-                        est += len(value)
-                    else:
-                        est += 8
-            self._deliver(frame, tuples, cost, est, None)
+                new = StreamTuple.__new__
+                tuples = []
+                append = tuples.append
+                for j in range(start, end):
+                    src_tuple = objs[j]
+                    out = new(StreamTuple)
+                    out.values = src_tuple.values
+                    out.stream = src_tuple.stream
+                    out.source_component = ""
+                    out.source_worker = src_tuple.source_worker
+                    out.anchor = src_tuple.anchor
+                    out.trace_id = src_tuple.trace_id
+                    out.seq = src_tuple.seq
+                    append(out)
+            # A fused window's store-sizer estimate was precomputed
+            # (exact integer arithmetic) at encode time; a generic
+            # flush's is left to the sizer.
+            cost = self._add_recv_terms(cost, annotated.rlens[start:end])
+            self._deliver(frame, tuples, cost, annotated.est,
+                          annotated.stream)
             return
         tracer = self._live_tracer()
         payload = frame.payload

@@ -36,14 +36,16 @@ class EthernetFrame:
     src: WorkerAddress
     ethertype: int
     payload: bytes
-    #: Same-process delivery annotation: the (StreamTuple, encoded_len)
-    #: pairs multiplexed into ``payload``, attached by the sending I/O
-    #: layer when every tuple is reconstructible without decoding (all
-    #: scalar values). Purely an in-memory shortcut — the payload bytes
-    #: stay authoritative, ``pack()`` ignores it, ``unpack()`` never
-    #: restores it (so frames crossing a host tunnel decode for real),
-    #: and it is excluded from equality/repr.
-    tuples: Optional[tuple] = field(default=None, compare=False, repr=False)
+    #: Same-process delivery annotation: the sending I/O layer's record
+    #: of the StreamTuples multiplexed into ``payload`` and their
+    #: encoded lengths (``repro.core.io_layer._ChunkAnnotation``),
+    #: attached when every tuple is reconstructible without decoding
+    #: (all scalar values). Purely an in-memory shortcut — the payload
+    #: bytes stay authoritative, ``pack()`` ignores it, ``unpack()``
+    #: never restores it (so frames crossing a host tunnel decode for
+    #: real), and it is excluded from equality/repr.
+    tuples: Optional[object] = field(default=None, compare=False,
+                                     repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.ethertype <= 0xFFFF:

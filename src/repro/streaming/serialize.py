@@ -28,7 +28,11 @@ is the repo's hottest real (wall-clock) path, so it is tuned for CPython
   copies they avoid — see §5d.)
 * **both directions batch**: values are encoded/decoded in runs
   (``_encode_many``/``_decode_many``), so scalars cost zero Python
-  function calls — the codec recurses only for nested containers.
+  function calls — the codec recurses only for nested containers, and
+  calls out only for the cold records (a str cache miss, a big int, an
+  envelope cache miss), each written by one helper. ``_encode_many`` is
+  the one per-record value writer: both per-tuple encoders run it, and
+  it reports fast-lane eligibility as it writes.
 * **trains in both directions**: :func:`encode_train` writes a whole
   batch as one length-prefixed buffer, and :func:`decode_train` decodes
   a whole MULTI payload in place, record after record, without slicing
@@ -122,6 +126,12 @@ class SerializationError(ValueError):
 _ENVELOPE_CACHE: dict = {}
 _ENVELOPE_CACHE_MAX = 1024
 
+#: Memoized ``length-prefix pad + envelope head`` byte strings for
+#: :func:`encode_train`, so the per-record preamble is one bytearray
+#: extend instead of two. Separate from :data:`_ENVELOPE_CACHE` (which
+#: stores bare heads for the per-tuple encoders); same bound.
+_TRAIN_HEAD_CACHE: dict = {}
+
 #: Memoized str value records (tag + u32 length + utf-8 bytes). Workloads
 #: re-send the same strings constantly (fixed payloads, word vocabularies),
 #: and str objects cache their own hash, so the lookup is near-free.
@@ -131,108 +141,130 @@ _STR_RECORD_CACHE_MAX = 4096
 _STR_CACHE_LEN_LIMIT = 256
 
 
+#: Exact value types the transport's same-process fast lane may share
+#: by reference instead of re-decoding: immutable scalars only
+#: (``bytearray`` is scalar-encodable but mutable, so it is excluded).
+SCALAR_TYPES = frozenset((str, int, float, bytes, bool, type(None)))
+
+#: Base-type readers for scalar subclasses (``IntEnum``, a ``str``
+#: ``Enum``, …) and ``bytearray``: each copies the value's own data into
+#: the exact base type through the base type's slot, so an override such
+#: as ``__str__`` cannot change the bytes.
+_SCALAR_BASES = ((int, int.__int__), (float, float.__float__),
+                 (str, str.__str__), (bytes, bytes.__bytes__),
+                 (bytearray, bytes))
+
+
+def _put_str(out: bytearray, value: str,
+             _pack_u32=_TAG_U32.pack_into, _len=len) -> None:
+    """Write the str record (tag + u32 length + utf-8 bytes) for a
+    :data:`_STR_RECORD_CACHE` miss, and cache it unless the string is
+    longer than :data:`_STR_CACHE_LEN_LIMIT` characters."""
+    data = value.encode("utf-8")
+    pos = _len(out)
+    out += _PAD_TAG_U32
+    _pack_u32(out, pos, _T_STR, _len(data))
+    out += data
+    if _len(value) <= _STR_CACHE_LEN_LIMIT:
+        if _len(_STR_RECORD_CACHE) >= _STR_RECORD_CACHE_MAX:
+            _STR_RECORD_CACHE.clear()
+        _STR_RECORD_CACHE[value] = bytes(out[pos:])
+
+
+def _put_bigint(out: bytearray, value: int) -> None:
+    """Write the record for an int outside the signed-64 range: tag,
+    sign byte, u32 length, big-endian magnitude."""
+    magnitude = abs(value)
+    body = magnitude.to_bytes((magnitude.bit_length() + 8) // 8, "big",
+                              signed=False)
+    pos = len(out)
+    out += _PAD_BIGINT_HEAD
+    _BIGINT_HEAD.pack_into(out, pos, _T_BIGINT, 1 if value < 0 else 0,
+                           len(body))
+    out += body
+
+
+def _envelope_head(cache: dict, key, prefix: bytes, stream: int, src: int,
+                   flags: int, nvalues: int) -> bytes:
+    """Pack ``prefix`` + the 9-byte envelope head for a cache miss and
+    memoize it in ``cache`` under ``key`` (cleared wholesale at
+    :data:`_ENVELOPE_CACHE_MAX` entries)."""
+    head = bytearray(_PAD_ENVELOPE)
+    _ENVELOPE.pack_into(head, 0, stream, src, flags, nvalues)
+    head = prefix + bytes(head)
+    if len(cache) >= _ENVELOPE_CACHE_MAX:
+        cache.clear()
+    cache[key] = head
+    return head
+
+
 def _encode_many(values, out: bytearray,
                  _pack_i64=_TAG_I64.pack_into,
                  _pack_f64=_TAG_F64.pack_into,
                  _pack_u32=_TAG_U32.pack_into,
-                 _pack_big=_BIGINT_HEAD.pack_into,
-                 _len=len, _type=type, _isinstance=isinstance) -> None:
-    """Encode a run of values; scalars cost zero Python function calls
-    (the encoder recurses only for containers). Exact-type dispatch is
-    ordered by observed frequency, with an ``isinstance`` fallback for
-    subclasses so the accepted type set matches the original encoder."""
+                 _len=len, _type=type, _isinstance=isinstance) -> bool:
+    """The one per-record value writer: encode a run of values and
+    return whether every value's exact type is in :data:`SCALAR_TYPES`
+    (the fast-lane eligibility test).
+
+    Exact-type scalars dispatch in observed frequency order and cost no
+    Python function call, except the cold records (a str cache miss, a
+    big int). Containers recurse, and scalar subclasses and
+    ``bytearray`` are written as their base type, so the accepted type
+    set and the bytes match the pre-optimization ``isinstance``
+    encoder."""
+    scalar = True
     for value in values:
-        if value is None:
-            out.append(_T_NONE)
-            continue
-        if value is True:
-            out.append(_T_TRUE)
-            continue
-        if value is False:
-            out.append(_T_FALSE)
-            continue
         kind = _type(value)
-        if kind is not int and kind is not str and kind is not float \
-                and kind is not list and kind is not tuple \
-                and kind is not dict and kind is not bytes \
-                and kind is not bytearray:
-            # Subclasses (IntEnum, namedtuple, …): widen to the base
-            # type the original isinstance chain would have picked.
-            if _isinstance(value, int):
-                kind = int
-            elif _isinstance(value, float):
-                kind = float
-            elif _isinstance(value, str):
-                kind = str
-            elif _isinstance(value, (bytes, bytearray)):
-                kind = bytes
-            elif _isinstance(value, (list, tuple)):
-                kind = list
-            elif _isinstance(value, dict):
-                kind = dict
+        if kind is str:
+            record = _STR_RECORD_CACHE.get(value)
+            if record is not None:
+                out += record
             else:
-                raise SerializationError(
-                    "cannot serialize %r of type %s"
-                    % (value, type(value).__name__))
-        if kind is int:
+                _put_str(out, value)
+        elif kind is int:
             if _I64_MIN <= value <= _I64_MAX:
                 pos = _len(out)
                 out += _PAD_TAG_I64
                 _pack_i64(out, pos, _T_INT, value)
             else:
-                magnitude = abs(value)
-                body = magnitude.to_bytes((magnitude.bit_length() + 8) // 8,
-                                          "big", signed=False)
-                pos = _len(out)
-                out += _PAD_BIGINT_HEAD
-                _pack_big(out, pos, _T_BIGINT, 1 if value < 0 else 0,
-                          _len(body))
-                out += body
-        elif kind is str:
-            record = _STR_RECORD_CACHE.get(value)
-            if record is not None:
-                out += record
-            elif _len(value) <= _STR_CACHE_LEN_LIMIT:
-                data = value.encode("utf-8")
-                record = bytearray()
-                record += _PAD_TAG_U32
-                _pack_u32(record, 0, _T_STR, _len(data))
-                record += data
-                record = bytes(record)
-                if _len(_STR_RECORD_CACHE) >= _STR_RECORD_CACHE_MAX:
-                    _STR_RECORD_CACHE.clear()
-                _STR_RECORD_CACHE[value] = record
-                out += record
-            else:
-                data = value.encode("utf-8")
-                pos = _len(out)
-                out += _PAD_TAG_U32
-                _pack_u32(out, pos, _T_STR, _len(data))
-                out += data
+                _put_bigint(out, value)
         elif kind is float:
             pos = _len(out)
             out += _PAD_TAG_I64
             _pack_f64(out, pos, _T_FLOAT, value)
-        elif kind is list or kind is tuple:
-            pos = _len(out)
-            out += _PAD_TAG_U32
-            _pack_u32(out, pos, _T_LIST, _len(value))
-            _encode_many(value, out)
-        elif kind is dict:
-            pos = _len(out)
-            out += _PAD_TAG_U32
-            _pack_u32(out, pos, _T_DICT, _len(value))
-            for key, item in value.items():
-                _encode_many((key, item), out)
-        else:  # bytes / bytearray
+        elif value is None:
+            out.append(_T_NONE)
+        elif kind is bool:
+            out.append(_T_TRUE if value else _T_FALSE)
+        elif kind is bytes:
             pos = _len(out)
             out += _PAD_TAG_U32
             _pack_u32(out, pos, _T_BYTES, _len(value))
             out += value
-
-
-def _encode_value(value: Any, out: bytearray) -> None:
-    _encode_many((value,), out)
+        else:
+            scalar = False
+            if _isinstance(value, (list, tuple)):
+                pos = _len(out)
+                out += _PAD_TAG_U32
+                _pack_u32(out, pos, _T_LIST, _len(value))
+                _encode_many(value, out)
+            elif _isinstance(value, dict):
+                pos = _len(out)
+                out += _PAD_TAG_U32
+                _pack_u32(out, pos, _T_DICT, _len(value))
+                for key, item in value.items():
+                    _encode_many((key, item), out)
+            else:
+                for base, read in _SCALAR_BASES:
+                    if _isinstance(value, base):
+                        _encode_many((read(value),), out)
+                        break
+                else:
+                    raise SerializationError(
+                        "cannot serialize %r of type %s"
+                        % (value, kind.__name__))
+    return scalar
 
 
 def _decode_many(data: bytes, offset: int, count: int, out,
@@ -315,20 +347,16 @@ def _decode_many(data: bytes, offset: int, count: int, out,
     return offset
 
 
-def _decode_value(data: bytes, offset: int) -> Tuple[Any, int]:
-    out: list = []
-    offset = _decode_many(data, offset, 1, out)
-    return out[0], offset
-
-
 def encode_values(values: Tuple[Any, ...]) -> bytes:
     out = bytearray()
     _encode_many(values, out)
     return bytes(out)
 
 
-def encode_tuple(stream_tuple: StreamTuple) -> bytes:
-    """Serialize a full tuple (envelope + values) to bytes."""
+def _encode_tuple(stream_tuple: StreamTuple) -> Tuple[bytes, bool]:
+    """The per-tuple encoder body: envelope head, then the optional
+    anchor/trace/sequencing stamps, then the values. Returns
+    ``(encoded, all_scalar)`` as :func:`encode_tuple_scalar` does."""
     anchor = stream_tuple.anchor
     trace_id = stream_tuple.trace_id
     seq = stream_tuple.seq
@@ -338,155 +366,46 @@ def encode_tuple(stream_tuple: StreamTuple) -> bytes:
         flags |= _FLAG_TRACED
     if seq is not None:
         flags |= _FLAG_SEQUENCED
-    key = (stream_tuple.stream, stream_tuple.source_worker, flags,
-           len(values))
-    head = _ENVELOPE_CACHE.get(key)
-    if head is None:
-        head = bytearray(_PAD_ENVELOPE)
-        _ENVELOPE.pack_into(head, 0, key[0], key[1], flags, key[3])
-        head = bytes(head)
-        if len(_ENVELOPE_CACHE) >= _ENVELOPE_CACHE_MAX:
-            _ENVELOPE_CACHE.clear()
-        _ENVELOPE_CACHE[key] = head
-    out = bytearray(head)
-    if anchor is not None:
-        pos = len(out)
-        out += _PAD_ANCHOR
-        _ANCHOR.pack_into(out, pos, anchor.root_id, anchor.edge_id)
-    if trace_id is not None:
-        pos = len(out)
-        out += _PAD_TRACE
-        _TRACE.pack_into(out, pos, trace_id)
-    if seq is not None:
-        pos = len(out)
-        out += _PAD_SEQ
-        _SEQ.pack_into(out, pos, seq[0], seq[1])
-    _encode_many(values, out)
-    return bytes(out)
-
-
-#: Exact value types the transport's same-process fast lane may share
-#: by reference instead of re-decoding: immutable scalars only
-#: (``bytearray`` is scalar-encodable but mutable, so it is excluded).
-SCALAR_TYPES = frozenset((str, int, float, bytes, bool, type(None)))
-
-
-def encode_tuple_scalar(
-    stream_tuple: StreamTuple,
-    _pack_i64=_TAG_I64.pack_into,
-    _pack_f64=_TAG_F64.pack_into,
-    _pack_u32=_TAG_U32.pack_into,
-    _pack_big=_BIGINT_HEAD.pack_into,
-    _len=len, _type=type,
-    _memo=[None, None, None, b""],
-) -> Tuple[bytes, bool]:
-    """Serialize and classify in one pass: ``(encoded, all_scalar)``.
-
-    ``encoded`` is byte-for-byte identical to :func:`encode_tuple`
-    (locked by the golden-bytes tests); ``all_scalar`` reports whether
-    every value's exact type is in :data:`SCALAR_TYPES` — the
-    transport's fast-lane eligibility test. The hot send paths need
-    both answers for every tuple, and fusing them saves a second pass
-    over the values plus two call frames (``encode_tuple`` →
-    ``_encode_many``) per tuple. The body is ``_encode_many``
-    specialized to scalar values in the same pad-and-``pack_into``
-    style; anchored/traced tuples and container (or subclass) values
-    fall back to the generic encoder.
-    """
-    values = stream_tuple.values
-    if stream_tuple.anchor is not None or stream_tuple.trace_id is not None \
-            or stream_tuple.seq is not None:
-        encoded = encode_tuple(stream_tuple)
-        for value in values:
-            if _type(value) not in SCALAR_TYPES:
-                return encoded, False
-        return encoded, True
     stream = stream_tuple.stream
     src = stream_tuple.source_worker
-    nvalues = _len(values)
-    # Single-entry memo in front of the envelope dict: consecutive
-    # tuples almost always share one envelope shape, so the common case
-    # is two int compares instead of a key-tuple build + dict hash.
-    # (Content-addressed, so the dict's overflow clear cannot stale it.)
-    if stream == _memo[0] and src == _memo[1] and nvalues == _memo[2]:
-        head = _memo[3]
-    else:
-        key = (stream, src, 0, nvalues)
-        head = _ENVELOPE_CACHE.get(key)
-        if head is None:
-            head = bytearray(_PAD_ENVELOPE)
-            _ENVELOPE.pack_into(head, 0, stream, src, 0, nvalues)
-            head = bytes(head)
-            if _len(_ENVELOPE_CACHE) >= _ENVELOPE_CACHE_MAX:
-                _ENVELOPE_CACHE.clear()
-            _ENVELOPE_CACHE[key] = head
-        _memo[0] = stream
-        _memo[1] = src
-        _memo[2] = nvalues
-        _memo[3] = head
+    nvalues = len(values)
+    key = (stream, src, flags, nvalues)
+    head = _ENVELOPE_CACHE.get(key)
+    if head is None:
+        head = _envelope_head(_ENVELOPE_CACHE, key, b"", stream, src, flags,
+                              nvalues)
     out = bytearray(head)
-    for value in values:
-        kind = _type(value)
-        if kind is str:
-            record = _STR_RECORD_CACHE.get(value)
-            if record is not None:
-                out += record
-            elif _len(value) <= _STR_CACHE_LEN_LIMIT:
-                data = value.encode("utf-8")
-                record = bytearray()
-                record += _PAD_TAG_U32
-                _pack_u32(record, 0, _T_STR, _len(data))
-                record += data
-                record = bytes(record)
-                if _len(_STR_RECORD_CACHE) >= _STR_RECORD_CACHE_MAX:
-                    _STR_RECORD_CACHE.clear()
-                _STR_RECORD_CACHE[value] = record
-                out += record
-            else:
-                data = value.encode("utf-8")
-                pos = _len(out)
-                out += _PAD_TAG_U32
-                _pack_u32(out, pos, _T_STR, _len(data))
-                out += data
-        elif kind is int:
-            if _I64_MIN <= value <= _I64_MAX:
-                pos = _len(out)
-                out += _PAD_TAG_I64
-                _pack_i64(out, pos, _T_INT, value)
-            else:
-                magnitude = abs(value)
-                body = magnitude.to_bytes((magnitude.bit_length() + 8) // 8,
-                                          "big", signed=False)
-                pos = _len(out)
-                out += _PAD_BIGINT_HEAD
-                _pack_big(out, pos, _T_BIGINT, 1 if value < 0 else 0,
-                          _len(body))
-                out += body
-        elif kind is float:
-            pos = _len(out)
-            out += _PAD_TAG_I64
-            _pack_f64(out, pos, _T_FLOAT, value)
-        elif value is None:
-            out.append(_T_NONE)
-        elif kind is bool:
-            out.append(_T_TRUE if value else _T_FALSE)
-        elif kind is bytes:
-            pos = _len(out)
-            out += _PAD_TAG_U32
-            _pack_u32(out, pos, _T_BYTES, _len(value))
-            out += value
-        else:
-            # Container or subclass value: not fast-lane eligible; let
-            # the generic encoder redo the tuple (rare path).
-            return encode_tuple(stream_tuple), False
-    return bytes(out), True
+    if flags:
+        if anchor is not None:
+            pos = len(out)
+            out += _PAD_ANCHOR
+            _ANCHOR.pack_into(out, pos, anchor.root_id, anchor.edge_id)
+        if trace_id is not None:
+            pos = len(out)
+            out += _PAD_TRACE
+            _TRACE.pack_into(out, pos, trace_id)
+        if seq is not None:
+            pos = len(out)
+            out += _PAD_SEQ
+            _SEQ.pack_into(out, pos, seq[0], seq[1])
+    all_scalar = _encode_many(values, out)
+    return bytes(out), all_scalar
 
 
-#: Memoized ``length-prefix pad + envelope head`` byte strings for
-#: :func:`encode_train`, so the per-record preamble is one bytearray
-#: extend instead of two. Separate from :data:`_ENVELOPE_CACHE` (which
-#: stores bare heads for the per-tuple encoders).
-_TRAIN_HEAD_CACHE: dict = {}
+def encode_tuple(stream_tuple: StreamTuple) -> bytes:
+    """Serialize a full tuple (envelope + values) to bytes."""
+    return _encode_tuple(stream_tuple)[0]
+
+
+def encode_tuple_scalar(stream_tuple: StreamTuple) -> Tuple[bytes, bool]:
+    """Serialize and classify in one pass: ``(encoded, all_scalar)``.
+
+    ``encoded`` is exactly :func:`encode_tuple`'s bytes; ``all_scalar``
+    reports whether every value's exact type is in :data:`SCALAR_TYPES`
+    — the transport's fast-lane eligibility test, answered by the value
+    writer as it goes. The two public encoders share one body rather
+    than calling each other, so a traced run counts each encode once."""
+    return _encode_tuple(stream_tuple)
 
 
 def encode_train(
@@ -494,7 +413,6 @@ def encode_train(
     _pack_i64=_TAG_I64.pack,
     _pack_f64=_TAG_F64.pack_into,
     _pack_u32=_TAG_U32.pack_into,
-    _pack_big=_BIGINT_HEAD.pack_into,
     _pack_rec=_RECORD_LEN.pack_into,
     _len=len, _type=type,
 ):
@@ -522,7 +440,8 @@ def encode_train(
       (each value's exact type is in :data:`SCALAR_TYPES`); callers
       then use the input sequence itself, skipping one list build per
       train. Otherwise a list holding the tuple at eligible records
-      and ``None`` where a container value forced a generic re-encode.
+      and ``None`` where a container or subclass value forced a
+      generic re-encode.
       ``all_fast`` is simply ``objs is None``.
     * ``stream`` — the one stream id every tuple rides, or ``None``
       when the train mixes streams. Tracked inside the envelope-change
@@ -535,6 +454,11 @@ def encode_train(
     common case pays no separate scan pass). Those stamps only appear
     when acking, tracing or replication is armed; stamped batches fall
     back to the caller's per-tuple loop.
+
+    The hot value branches (cached str, i64, float, None, bool, bytes)
+    are inlined; the cold records — str cache miss, big int, envelope
+    cache miss — are written by the same helpers :func:`_encode_many`
+    uses.
     """
     buf = bytearray()
     bounds: list = [0]   # record prefix offsets; n+1 entries
@@ -563,12 +487,9 @@ def encode_train(
             key = (stream, src, nvalues)
             head = _TRAIN_HEAD_CACHE.get(key)
             if head is None:
-                head = bytearray(_PAD_ENVELOPE)
-                _ENVELOPE.pack_into(head, 0, stream, src, 0, nvalues)
-                head = _PAD_RECORD_LEN + bytes(head)
-                if _len(_TRAIN_HEAD_CACHE) >= _ENVELOPE_CACHE_MAX:
-                    _TRAIN_HEAD_CACHE.clear()
-                _TRAIN_HEAD_CACHE[key] = head
+                head = _envelope_head(_TRAIN_HEAD_CACHE, key,
+                                      _PAD_RECORD_LEN, stream, src, 0,
+                                      nvalues)
             if train_stream is None:
                 train_stream = stream
             elif stream != train_stream:
@@ -587,37 +508,14 @@ def encode_train(
                 record = _STR_RECORD_CACHE.get(value)
                 if record is not None:
                     buf += record
-                elif _len(value) <= _STR_CACHE_LEN_LIMIT:
-                    data = value.encode("utf-8")
-                    record = bytearray()
-                    record += _PAD_TAG_U32
-                    _pack_u32(record, 0, _T_STR, _len(data))
-                    record += data
-                    record = bytes(record)
-                    if _len(_STR_RECORD_CACHE) >= _STR_RECORD_CACHE_MAX:
-                        _STR_RECORD_CACHE.clear()
-                    _STR_RECORD_CACHE[value] = record
-                    buf += record
                 else:
-                    data = value.encode("utf-8")
-                    pos = _len(buf)
-                    buf += _PAD_TAG_U32
-                    _pack_u32(buf, pos, _T_STR, _len(data))
-                    buf += data
+                    _put_str(buf, value)
             elif kind is int:
                 est += 8
                 if _I64_MIN <= value <= _I64_MAX:
                     buf += _pack_i64(_T_INT, value)
                 else:
-                    magnitude = abs(value)
-                    body = magnitude.to_bytes(
-                        (magnitude.bit_length() + 8) // 8, "big",
-                        signed=False)
-                    pos = _len(buf)
-                    buf += _PAD_BIGINT_HEAD
-                    _pack_big(buf, pos, _T_BIGINT, 1 if value < 0 else 0,
-                              _len(body))
-                    buf += body
+                    _put_bigint(buf, value)
             elif kind is float:
                 est += 8
                 pos = _len(buf)
@@ -669,7 +567,6 @@ def encode_train_uniform(
     _pack_i64=_TAG_I64.pack,
     _pack_f64=_TAG_F64.pack_into,
     _pack_u32=_TAG_U32.pack_into,
-    _pack_big=_BIGINT_HEAD.pack_into,
     _pack_rec=_RECORD_LEN.pack_into,
     _len=len, _type=type,
 ):
@@ -684,7 +581,7 @@ def encode_train_uniform(
     keep for arbitrary batches. The emitted bytes and the returned
     ``(data, bounds, rlens, ests, objs, stream)`` are exactly what
     :func:`encode_train` produces for the same tuples. Batches holding
-    a container value delegate to the general walk (which tracks the
+    a container or subclass value delegate to the general walk (which tracks the
     per-record object list this loop omits), so a ``None`` return is
     possible only if the caller's no-stamp pledge was broken — and the
     transports degrade to the per-tuple path in that case anyway.
@@ -710,12 +607,8 @@ def encode_train_uniform(
             key = (stream, src, nvalues)
             head = head_cache.get(key)
             if head is None:
-                head = bytearray(_PAD_ENVELOPE)
-                _ENVELOPE.pack_into(head, 0, stream, src, 0, nvalues)
-                head = _PAD_RECORD_LEN + bytes(head)
-                if _len(head_cache) >= _ENVELOPE_CACHE_MAX:
-                    head_cache.clear()
-                head_cache[key] = head
+                head = _envelope_head(head_cache, key, _PAD_RECORD_LEN,
+                                      stream, src, 0, nvalues)
             prev_n = nvalues
         start = end
         buf += head
@@ -727,37 +620,14 @@ def encode_train_uniform(
                 record = _STR_RECORD_CACHE.get(value)
                 if record is not None:
                     buf += record
-                elif _len(value) <= _STR_CACHE_LEN_LIMIT:
-                    data = value.encode("utf-8")
-                    record = bytearray()
-                    record += _PAD_TAG_U32
-                    _pack_u32(record, 0, _T_STR, _len(data))
-                    record += data
-                    record = bytes(record)
-                    if _len(_STR_RECORD_CACHE) >= _STR_RECORD_CACHE_MAX:
-                        _STR_RECORD_CACHE.clear()
-                    _STR_RECORD_CACHE[value] = record
-                    buf += record
                 else:
-                    data = value.encode("utf-8")
-                    pos = _len(buf)
-                    buf += _PAD_TAG_U32
-                    _pack_u32(buf, pos, _T_STR, _len(data))
-                    buf += data
+                    _put_str(buf, value)
             elif kind is int:
                 est += 8
                 if _I64_MIN <= value <= _I64_MAX:
                     buf += _pack_i64(_T_INT, value)
                 else:
-                    magnitude = abs(value)
-                    body = magnitude.to_bytes(
-                        (magnitude.bit_length() + 8) // 8, "big",
-                        signed=False)
-                    pos = _len(buf)
-                    buf += _PAD_BIGINT_HEAD
-                    _pack_big(buf, pos, _T_BIGINT, 1 if value < 0 else 0,
-                              _len(body))
-                    buf += body
+                    _put_bigint(buf, value)
             elif kind is float:
                 est += 8
                 pos = _len(buf)
@@ -776,12 +646,12 @@ def encode_train_uniform(
                 _pack_u32(buf, pos, _T_BYTES, _len(value))
                 buf += value
             else:
-                # A container value: the whole batch re-encodes through
-                # the general walk, which produces the identical bytes
-                # for a uniform batch and tracks the per-record object
-                # list this loop deliberately omits. One batch pays
-                # double encode work; the hot all-scalar shape pays no
-                # objs bookkeeping at all.
+                # A container or subclass value: the whole batch
+                # re-encodes through the general walk, which produces
+                # the identical bytes for a uniform batch and tracks the
+                # per-record object list this loop deliberately omits.
+                # One batch pays double encode work; the hot all-scalar
+                # shape pays no objs bookkeeping at all.
                 return encode_train(stream_tuples)
         end = _len(buf)
         rlen = end - start - 4

@@ -494,3 +494,145 @@ def test_offloaded_select_path_enqueues_to_select_address(engine, values,
     assert frames[0].dst == address
     assert unpack_payload(frames[0].payload) == [encoded]
     assert (frames[0].tuples is not None) is fast
+
+
+# -- fast-lane delivery of generic-flush frames -----------------------------------
+
+def _recording_transport(engine, fabric, worker_id):
+    """A receiver whose frames and deliveries are logged in pairs."""
+    transport = TyphoonTransport(engine, DEFAULT_COSTS, worker_id, app_id=1,
+                                 host_fabric=fabric.host("host-0"),
+                                 batch_size=10)
+    log = []
+    deliveries = []
+    transport.deliver = lambda delivery: deliveries.append(delivery) or True
+    on_frame = transport._on_frame
+
+    def record(frame, tun_dst):
+        before = len(deliveries)
+        on_frame(frame, tun_dst)
+        log.append((frame, deliveries[before:]))
+
+    transport._on_frame = record
+    transport.attach()
+    return transport, log
+
+
+def _decode_lane_reference(frame):
+    """What the receive path delivers for ``frame`` with its annotation
+    stripped: the payload bytes are decoded for real."""
+    import dataclasses
+
+    engine = Engine()
+    fabric = TyphoonFabric(engine, DEFAULT_COSTS, Cluster.of_size(1))
+    reference = TyphoonTransport(engine, DEFAULT_COSTS, 99, app_id=1,
+                                 host_fabric=fabric.host("host-0"),
+                                 batch_size=10)
+    got = []
+    reference.deliver = lambda delivery: got.append(delivery) or True
+    reference._on_frame(dataclasses.replace(frame, tuples=None), None)
+    assert len(got) == 1
+    return got[0]
+
+
+def _check_fast_lane(log, sent, annotated):
+    """Each delivery equals the decode lane's: fresh tuples with a blank
+    ``source_component``, a bit-equal cost (base receive cost plus one
+    deserialize term per record, in record order) and an equal
+    store-sizer charge."""
+    from repro.core.packets import MULTI_HEAD_SIZE, record_bounds, multi_count
+    from repro.streaming.transport import Delivery, delivery_bytes
+
+    costs = DEFAULT_COSTS
+    delivered = []
+    for frame, deliveries in log:
+        assert (frame.tuples is not None) is annotated
+        assert len(deliveries) == 1
+        delivery = deliveries[0]
+        reference = _decode_lane_reference(frame)
+        assert [t.values for t in delivery.tuples] \
+            == [t.values for t in reference.tuples]
+        count = multi_count(frame.payload)
+        bounds = record_bounds(frame.payload, MULTI_HEAD_SIZE, count)
+        want = (costs.ring_op_per_packet + costs.depacketize_per_packet
+                + len(frame) * costs.depacketize_per_byte
+                + costs.jni_call_overhead)
+        for i in range(count):
+            rlen = bounds[i + 1] - bounds[i] - 4
+            want += costs.deserialize_per_tuple \
+                + rlen * costs.deserialize_per_byte
+        assert delivery.cost == want == reference.cost
+        # The generic flush never learns the window's stream id, so a
+        # fast-lane delivery leaves it unset; the decode lane reports it.
+        assert delivery.stream == (None if annotated else reference.stream)
+        nbytes = delivery_bytes(delivery)
+        assert delivery.nbytes == nbytes == reference.nbytes
+        assert nbytes == delivery_bytes(Delivery(tuples=list(
+            reference.tuples)))
+        for stream_tuple in delivery.tuples:
+            assert stream_tuple.source_component == ""
+            assert all(stream_tuple is not s for s in sent)
+        delivered.extend(delivery.tuples)
+    assert len({id(t) for t in delivered}) == len(delivered)
+    return delivered
+
+
+_FAST_VALUES = [("w", 1, 2.5, b"\x00", True, None), ("longer word", -7),
+                (), ("é" * 30, 2 ** 40)]
+
+
+def test_per_tuple_sends_ride_fast_lane_to_one_local_worker(engine, fabric):
+    sender, _ = make_transport(engine, fabric, 1, batch=len(_FAST_VALUES))
+    receiver, log = _recording_transport(engine, fabric, 2)
+    install_unicast(fabric, "host-0", sender.port_no, 1, 2, receiver.port_no)
+    engine.run(until=0.01)
+    sent = [StreamTuple(values, stream=4, source_component="spout",
+                        source_worker=1) for values in _FAST_VALUES]
+    for stream_tuple in sent:
+        sender.send(stream_tuple, [2])
+    engine.run(until=0.05)
+    delivered = _check_fast_lane(log, sent, annotated=True)
+    assert [t.values for t in delivered] == [t.values for t in sent]
+    assert all(t.source_component == "spout" for t in sent)
+
+
+def test_replicated_broadcast_frame_clones_for_each_local_worker(engine,
+                                                                 fabric):
+    sender, _ = make_transport(engine, fabric, 1, batch=len(_FAST_VALUES))
+    logs = []
+    for worker_id in (2, 3):
+        _receiver, log = _recording_transport(engine, fabric, worker_id)
+        logs.append(log)
+    switch = fabric.host("host-0").switch
+    switch.handle_message(FlowMod(ADD, Match(
+        in_port=sender.port_no, dl_dst=BROADCAST,
+        ether_type=TYPHOON_ETHERTYPE,
+    ), tuple(Output(switch.port_by_name(name).number)
+             for name in ("w2", "w3"))))
+    engine.run(until=0.01)
+    sent = [StreamTuple(values, stream=4, source_component="spout",
+                        source_worker=1) for values in _FAST_VALUES]
+    for stream_tuple in sent:
+        sender.send_broadcast(stream_tuple, [2, 3])
+    engine.run(until=0.05)
+    first = _check_fast_lane(logs[0], sent, annotated=True)
+    second = _check_fast_lane(logs[1], sent, annotated=True)
+    assert [t.values for t in first] == [t.values for t in second] \
+        == [t.values for t in sent]
+    assert all(a is not b for a in first for b in second)
+
+
+def test_window_with_container_record_takes_decode_lane(engine, fabric):
+    sender, _ = make_transport(engine, fabric, 1, batch=3)
+    receiver, log = _recording_transport(engine, fabric, 2)
+    install_unicast(fabric, "host-0", sender.port_no, 1, 2, receiver.port_no)
+    engine.run(until=0.01)
+    sent = [StreamTuple(("a", 1), stream=4, source_worker=1),
+            StreamTuple(("b", [1, "x"]), stream=4, source_worker=1),
+            StreamTuple(("c", 3), stream=4, source_worker=1)]
+    for stream_tuple in sent:
+        sender.send(stream_tuple, [2])
+    engine.run(until=0.05)
+    delivered = _check_fast_lane(log, sent, annotated=False)
+    assert [t.values for t in delivered] \
+        == [("a", 1), ("b", [1, "x"]), ("c", 3)]
