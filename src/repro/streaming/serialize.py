@@ -148,11 +148,12 @@ SCALAR_TYPES = frozenset((str, int, float, bytes, bool, type(None)))
 
 #: Base-type readers for scalar subclasses (``IntEnum``, a ``str``
 #: ``Enum``, …) and ``bytearray``: each copies the value's own data into
-#: the exact base type through the base type's slot, so an override such
-#: as ``__str__`` cannot change the bytes.
+#: the exact base type through the base type's slot (bytes-likes through
+#: the buffer protocol), so an override such as ``__str__`` or
+#: ``__bytes__`` cannot change the bytes.
 _SCALAR_BASES = ((int, int.__int__), (float, float.__float__),
-                 (str, str.__str__), (bytes, bytes.__bytes__),
-                 (bytearray, bytes))
+                 (str, str.__str__),
+                 ((bytes, bytearray), lambda value: bytes(memoryview(value))))
 
 
 def _put_str(out: bytearray, value: str,

@@ -158,6 +158,11 @@ class _Big(int):
     pass
 
 
+class _Raw(bytes):
+    def __bytes__(self):
+        return b"override"
+
+
 _Point = namedtuple("_Point", "x y")
 
 #: Values whose exact type is not in ``SCALAR_TYPES``: each encodes as
@@ -207,6 +212,19 @@ def test_non_scalar_exact_types_match_legacy(name, value):
     odd = StreamTuple(("w", value, 2.0), stream=2, source_worker=5)
     _check_all_encoders([plain, odd, plain], [True, False, True])
     _check_all_encoders([odd], [False])
+
+
+def test_bytes_subclass_encodes_its_buffer_not_its_bytes_override():
+    # The legacy reference calls ``bytes(value)`` (and so ``__bytes__``)
+    # after writing ``len(value)``; the codec writes the buffer itself.
+    odd = StreamTuple(("w", _Raw(b"\x00raw")), stream=2, source_worker=5)
+    plain = StreamTuple(("w", b"\x00raw"), stream=2, source_worker=5)
+    want = encode_tuple(plain)
+    assert encode_tuple(odd) == want
+    assert encode_tuple_scalar(odd) == (want, False)
+    for train in (encode_train([odd]), encode_train_uniform([odd], 2, 5)):
+        assert _train_records(train) == [want]
+        assert train[4] == [None]
 
 
 def test_all_non_scalar_values_in_one_tuple_match_legacy():
