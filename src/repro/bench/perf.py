@@ -86,6 +86,13 @@ MAX_ENGINE_HEAP_OPS_PER_EVENT = 1.5
 #: 1.0 means the free list stopped working.
 MAX_ENGINE_ALLOCS_PER_EVENT = 0.5
 
+#: Receive-side ``decode_train`` calls per MULTI frame arriving from a
+#: host tunnel in the fig9 steady state (perf-smoke CI gate).
+#: Seed-determined and machine-independent: the remote sinks behind one
+#: tunnel share one decode of each train, so this is exactly 1.0; 2.0
+#: (one decode per remote sink) means the shared tunnel decode is lost.
+MAX_FIG9_DECODES_PER_TUNNEL_TRAIN = 1.0
+
 #: Minimum ``decode_train`` speedup over the per-record receive loop it
 #: replaced, measured in the same run (perf-smoke CI gate; wall-clock,
 #: so skipped under ``--profile``). The one-pass decoder must never be
@@ -365,19 +372,24 @@ def _switch_cache_stats(cluster) -> Dict[str, float]:
 def _train_counters(cluster, topology_id: str,
                     components=("source", "sink")) -> Dict[str, int]:
     """Tuple-train counters summed over a topology's transports: tuples
-    accepted for send, and fused (whole-window) flushes and the tuples
-    they carried."""
-    sent = flushes = fused = 0
+    accepted for send, fused (whole-window) flushes and the tuples they
+    carried, and receive-side ``decode_train`` calls; plus the MULTI
+    frames every host received from a tunnel."""
+    sent = flushes = fused = decodes = 0
     for component in components:
         for executor in cluster.executors_for(topology_id, component):
             transport = executor.transport
             sent += getattr(transport, "tuples_sent", 0)
             flushes += getattr(transport, "fused_flushes", 0)
             fused += getattr(transport, "fused_tuples", 0)
+            decodes += getattr(transport, "train_decodes", 0)
     return {
         "tuples_sent": sent,
         "fused_flushes": flushes,
         "fused_tuples": fused,
+        "train_decodes": decodes,
+        "tunnel_trains_in": sum(fabric.tunnel_trains_in
+                                for fabric in cluster.fabric.hosts.values()),
     }
 
 
@@ -476,6 +488,9 @@ def bench_fig9_hotpath(seed: int = 0, sinks: int = 4) -> Dict[str, float]:
                                _DEPLOY + 0.3, _DEPLOY + _WINDOW + 0.3)
     wall = time.perf_counter() - wall_start
     trains_post = _train_counters(cluster, "bc")
+    decodes = trains_post["train_decodes"] - trains_pre["train_decodes"]
+    tunnel_trains = (trains_post["tunnel_trains_in"]
+                     - trains_pre["tunnel_trains_in"])
     for extra in range(1, _E2E_WINDOWS):
         t0 = _DEPLOY + 0.3 + _WINDOW * extra
         wall_start = time.perf_counter()
@@ -488,6 +503,8 @@ def bench_fig9_hotpath(seed: int = 0, sinks: int = 4) -> Dict[str, float]:
         "wall_seconds": wall,
         "tuples_per_wall_sec": delivered / wall if wall else 0.0,
         "trains": _train_metrics(trains_pre, trains_post, wall),
+        "decodes_per_tunnel_train": (decodes / tunnel_trains
+                                     if tunnel_trains else 0.0),
         **_switch_cache_stats(cluster),
     }
 
@@ -602,10 +619,12 @@ def render_report(result: Dict[str, Any]) -> str:
                         fig8["tuples_per_wall_sec"],
                         fig8["steady_state_hit_rate"]))
         lines.append("fig9 broadcast(%d): %.0f virtual tuples/s, "
-                     "%.0f tuples per wall second, hit rate %.4f"
+                     "%.0f tuples per wall second, hit rate %.4f, "
+                     "%.2f decodes per tunnel train"
                      % (fig9["sinks"], fig9["virtual_tuples_per_sec"],
                         fig9["tuples_per_wall_sec"],
-                        fig9["cache_hit_rate"]))
+                        fig9["cache_hit_rate"],
+                        fig9["decodes_per_tunnel_train"]))
         trains = fig8.get("trains")
         if trains:
             lines.append("trains: %.0f/s, %.1f tuples avg, "
@@ -656,6 +675,12 @@ def check_gates(result: Dict[str, Any]) -> List[str]:
             failures.append(
                 "fig8 tuples/wall-sec %.0f < %.0f"
                 % (rate, MIN_FIG8_TUPLES_PER_WALL_SEC))
+        decodes = e2e["fig9_broadcast"]["decodes_per_tunnel_train"]
+        if decodes > MAX_FIG9_DECODES_PER_TUNNEL_TRAIN:
+            failures.append(
+                "fig9 decodes per tunnel train %.2f > %.1f "
+                "(remote replicas stopped sharing one decode)"
+                % (decodes, MAX_FIG9_DECODES_PER_TUNNEL_TRAIN))
     speedup = result["ops"]["decode_train"]["speedup"]
     if not profiled and speedup < MIN_DECODE_TRAIN_SPEEDUP:
         failures.append(

@@ -86,6 +86,9 @@ class HostFabric:
                                      ledger=ledger, tracer=tracer)
         self.tunnels: Dict[str, TcpTunnel] = {}
         self.tunnel_drops = 0
+        #: MULTI frames received from a tunnel (each carries one shared
+        #: decode for its local replicas).
+        self.tunnel_trains_in = 0
         self.tunnel_port = self.switch.add_port(
             "tunnel", self._tunnel_sink, kind=SwitchPort.TUNNEL
         )
@@ -114,6 +117,18 @@ class HostFabric:
 
     def receive_from_tunnel(self, data: bytes) -> None:
         frame = EthernetFrame.unpack(data)
+        payload = frame.payload
+        if payload and payload[0] == KIND_MULTI:
+            # One empty annotation per tunnel train, shared by every
+            # local replica the switch makes: the first receiver to
+            # decode the payload fills it and the rest clone (see
+            # TyphoonTransport._on_frame). Only the kind byte is read
+            # here; a malformed payload still raises at the receiver.
+            self.tunnel_trains_in += 1
+            frame = EthernetFrame(
+                dst=frame.dst, src=frame.src, ethertype=frame.ethertype,
+                payload=payload,
+                tuples=_ChunkAnnotation(None, None, None, 0, 0, None))
         tracer = self._live_tracer()
         if tracer is not None:
             tracer.frame_event(frame, H_TUNNEL_RX, host=self.hostname)
@@ -215,12 +230,21 @@ class _ChunkAnnotation:
     mirrors) share this object through ``EthernetFrame.with_dst``, and
     every delivery after the first clones. A generic flush shares one
     pair of arrays across its frames and starts claimed, with ``est``
-    and ``stream`` left ``None``."""
+    and ``stream`` left ``None``.
+
+    A MULTI frame arriving from a host tunnel carries an empty one
+    (``objs`` is ``None``, unclaimed). The first local receiver decodes
+    the payload, claims the annotation and, when no decoded value is a
+    container, fills it with its own copy of the tuple list, the record
+    lengths, ``est`` and ``stream``; every later replica on that host
+    clones. A claimed annotation whose ``objs`` is still ``None`` marks
+    a train holding containers: every replica decodes it."""
 
     __slots__ = ("objs", "rlens", "stream", "start", "end", "est",
                  "claimed")
 
-    def __init__(self, objs: List[StreamTuple], rlens: List[int],
+    def __init__(self, objs: Optional[List[StreamTuple]],
+                 rlens: Optional[List[int]],
                  stream: Optional[int], start: int, end: int,
                  est: Optional[int], claimed: bool = False):
         self.objs = objs
@@ -230,6 +254,17 @@ class _ChunkAnnotation:
         self.end = end
         self.est = est
         self.claimed = claimed
+
+
+def _no_containers(tuples: Sequence[StreamTuple]) -> bool:
+    """True when no value is a ``list`` or ``dict`` — the only mutable
+    types the codec decodes — so replicas may share decoded values."""
+    for stream_tuple in tuples:
+        for value in stream_tuple.values:
+            kind = type(value)
+            if kind is list or kind is dict:
+                return False
+    return True
 
 
 class _SendBuffer(list):
@@ -306,6 +341,9 @@ class TyphoonTransport(Transport):
         self.serializations = 0
         self.frames_sent = 0
         self.frames_received = 0
+        #: Calls to decode_train: one per received MULTI frame that no
+        #: annotation let this receiver skip.
+        self.train_decodes = 0
         self.dropped_after_close = 0
         # Train telemetry: flushes that took the fused single-slice
         # MULTI path in _emit_batch, and the tuples they carried. The
@@ -892,10 +930,13 @@ class TyphoonTransport(Transport):
                 + costs.depacketize_per_packet
                 + len(frame) * costs.depacketize_per_byte
                 + costs.jni_call_overhead)
+        tracer = self._live_tracer()
         annotated = frame.tuples
-        if annotated is not None and self._live_tracer() is None:
-            # Same-process fast lane: the sender attached the original
-            # tuples (all-scalar values, so a decode would reproduce them
+        if annotated is not None and tracer is None \
+                and annotated.objs is not None:
+            # Fast lane: the sender, or the first replica to decode a
+            # tunnel train on this host, attached the tuples (no
+            # container values, so a decode would reproduce them
             # exactly); reconstruct deliveries without walking the bytes.
             # Costs are charged from the authoritative encoded lengths,
             # term for term as the decode path would.
@@ -910,8 +951,9 @@ class TyphoonTransport(Transport):
                 annotated.claimed = True
                 tuples = objs[start:end]
             else:
-                # Generic flush or replicated frame (broadcast rule,
-                # debug mirror): field-by-field clone via __new__,
+                # Generic flush, replicated frame (broadcast rule, debug
+                # mirror) or tunnel train already decoded on this host:
+                # field-by-field clone via __new__,
                 # matching what decode_tuple would build —
                 # source_component is reset to "", everything else
                 # carried over.
@@ -930,13 +972,13 @@ class TyphoonTransport(Transport):
                     out.seq = src_tuple.seq
                     append(out)
             # A fused window's store-sizer estimate was precomputed
-            # (exact integer arithmetic) at encode time; a generic
-            # flush's is left to the sizer.
+            # (exact integer arithmetic) at encode time, a tunnel
+            # train's by its decode; a generic flush's is left to the
+            # sizer.
             cost = self._add_recv_terms(cost, annotated.rlens[start:end])
             self._deliver(frame, tuples, cost, annotated.est,
                           annotated.stream)
             return
-        tracer = self._live_tracer()
         payload = frame.payload
         count = multi_count(payload)
         if count is not None:
@@ -945,6 +987,7 @@ class TyphoonTransport(Transport):
             # and the train's stream id together.
             tuples, rlens, est, stream = decode_train(
                 payload, MULTI_HEAD_SIZE, count)
+            self.train_decodes += 1
             cost = self._add_recv_terms(cost, rlens)
             if tracer is not None:
                 branch = self.worker_id
@@ -955,6 +998,18 @@ class TyphoonTransport(Transport):
                         tracer.event(trace_id, H_WIRE, branch=branch)
                         tracer.event(trace_id, H_DESERIALIZE, branch=branch,
                                      cost=terms[rlen], nbytes=rlen)
+            elif annotated is not None and not annotated.claimed:
+                # First replica of a tunnel train on this host: share the
+                # decode with the others (see _ChunkAnnotation). objs is
+                # a copy, so a component editing its batch list cannot
+                # change what they clone.
+                annotated.claimed = True
+                if _no_containers(tuples):
+                    annotated.objs = tuples[:]
+                    annotated.rlens = rlens
+                    annotated.est = est
+                    annotated.stream = stream
+                    annotated.end = count
         else:
             # Key by (app, worker): same-numbered workers of different
             # applications must never share a reassembly stream.

@@ -42,8 +42,11 @@ class EthernetFrame:
     #: attached when every tuple is reconstructible without decoding
     #: (all scalar values). Purely an in-memory shortcut — the payload
     #: bytes stay authoritative, ``pack()`` ignores it, ``unpack()``
-    #: never restores it (so frames crossing a host tunnel decode for
-    #: real), and it is excluded from equality/repr.
+    #: never restores it, and it is excluded from equality/repr. A
+    #: MULTI frame crossing a host tunnel therefore decodes for real
+    #: once per receiving host: the receiving fabric attaches an empty
+    #: annotation, which the first local replica to decode the payload
+    #: fills for the others (unless a value is a container).
     tuples: Optional[object] = field(default=None, compare=False,
                                      repr=False)
 

@@ -78,3 +78,20 @@ def test_bench_perf_micro_runs_and_writes_json(tmp_path):
     assert set(data["ops"]) == {"table_lookup", "encode", "decode",
                                 "decode_train"}
     assert data["ops"]["table_lookup"]["cache_hit_rate"] > 0.95
+
+
+def test_perf_gate_fails_when_tunnel_replicas_decode_twice():
+    from repro.bench.perf import check_gates
+
+    result = {
+        "profile": {},   # skips the wall-clock floors
+        "ops": {"decode_train": {"speedup": 1.0},
+                "table_lookup": {"cache_hit_rate": 1.0}},
+        "e2e": {"fig8_forwarding": {"steady_state_hit_rate": 1.0,
+                                    "tuples_per_wall_sec": 0.0},
+                "fig9_broadcast": {"decodes_per_tunnel_train": 1.0}},
+    }
+    assert check_gates(result) == []
+    result["e2e"]["fig9_broadcast"]["decodes_per_tunnel_train"] = 2.0
+    (failure,) = check_gates(result)
+    assert "decodes per tunnel train 2.00 > 1.0" in failure

@@ -498,14 +498,23 @@ def test_offloaded_select_path_enqueues_to_select_address(engine, values,
 
 # -- fast-lane delivery of generic-flush frames -----------------------------------
 
-def _recording_transport(engine, fabric, worker_id):
-    """A receiver whose frames and deliveries are logged in pairs."""
+def _recording_transport(engine, fabric, worker_id, host="host-0",
+                         on_delivery=None):
+    """A receiver whose frames and deliveries are logged in pairs.
+    ``on_delivery`` runs on each delivery after it is logged."""
     transport = TyphoonTransport(engine, DEFAULT_COSTS, worker_id, app_id=1,
-                                 host_fabric=fabric.host("host-0"),
+                                 host_fabric=fabric.host(host),
                                  batch_size=10)
     log = []
     deliveries = []
-    transport.deliver = lambda delivery: deliveries.append(delivery) or True
+
+    def deliver(delivery):
+        deliveries.append(delivery)
+        if on_delivery is not None:
+            on_delivery(delivery)
+        return True
+
+    transport.deliver = deliver
     on_frame = transport._on_frame
 
     def record(frame, tun_dst):
@@ -636,3 +645,164 @@ def test_window_with_container_record_takes_decode_lane(engine, fabric):
     delivered = _check_fast_lane(log, sent, annotated=False)
     assert [t.values for t in delivered] \
         == [("a", 1), ("b", [1, "x"]), ("c", 3)]
+
+
+# -- tunnel frames: one decode per receiving host --------------------------------
+
+def _remote_broadcast(engine, fabric, batch, on_delivery=None):
+    """A host-0 sender whose broadcast frames cross the tunnel to
+    host-1, where the switch replicates them to workers 2 and 3."""
+    sender, _ = make_transport(engine, fabric, 1, batch=batch)
+    receivers = []
+    logs = []
+    for worker_id in (2, 3):
+        receiver, log = _recording_transport(engine, fabric, worker_id,
+                                             host="host-1",
+                                             on_delivery=on_delivery)
+        receivers.append(receiver)
+        logs.append(log)
+    host0 = fabric.host("host-0")
+    host0.switch.handle_message(FlowMod(ADD, Match(
+        in_port=sender.port_no, dl_dst=BROADCAST,
+        ether_type=TYPHOON_ETHERTYPE,
+    ), (SetTunnelDst("host-1"), Output(host0.tunnel_port))))
+    host1 = fabric.host("host-1")
+    host1.switch.handle_message(FlowMod(ADD, Match(
+        in_port=host1.tunnel_port, dl_dst=BROADCAST,
+    ), tuple(Output(host1.switch.port_by_name(name).number)
+             for name in ("w2", "w3"))))
+    engine.run(until=0.01)
+    return sender, receivers, logs
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls to ``repro.core.io_layer.<name>``."""
+    import repro.core.io_layer as io_layer
+
+    calls = []
+    real = getattr(io_layer, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(io_layer, name, counted)
+    return calls
+
+
+def test_tunnel_train_is_decoded_once_for_every_remote_replica(
+        engine, fabric, monkeypatch):
+    decodes = _count_calls(monkeypatch, "decode_train")
+    batches = []
+
+    def reorder_first(delivery):
+        # The first receiver reorders and trims its batch list; the
+        # second must still get every record in order.
+        batches.append(list(delivery.tuples))
+        if len(batches) == 1:
+            delivery.tuples.reverse()
+            delivery.tuples.pop()
+
+    sender, receivers, logs = _remote_broadcast(engine, fabric,
+                                                batch=len(_FAST_VALUES),
+                                                on_delivery=reorder_first)
+    sent = [StreamTuple(values, stream=4, source_component="spout",
+                        source_worker=1) for values in _FAST_VALUES]
+    sender.send_broadcast_interleaved(sent, [2, 3], 0.0, 0.0, uniform=True)
+    engine.run(until=0.05)
+    assert [len(log) for log in logs] == [1, 1]
+    assert len(decodes) == len(logs[0])
+    assert fabric.host("host-1").tunnel_trains_in == 1
+    assert sum(r.train_decodes for r in receivers) == 1
+    for log, batch in zip(logs, batches):
+        ((frame, (delivery,)),) = log
+        reference = _decode_lane_reference(frame)
+        assert [t.values for t in batch] \
+            == [t.values for t in reference.tuples] \
+            == [t.values for t in sent]
+        assert delivery.cost == reference.cost
+        assert delivery.nbytes == reference.nbytes
+        assert delivery.stream == reference.stream == 4
+        for stream_tuple in batch:
+            assert stream_tuple.source_component == ""
+            assert all(stream_tuple is not s for s in sent)
+    delivered = batches[0] + batches[1]
+    assert len({id(t) for t in delivered}) == len(delivered)
+
+
+def test_tunnel_replicas_never_alias_containers(engine, fabric):
+    delivered = []
+    objects = []
+
+    def mutate_first(delivery):
+        # Snapshot what this receiver got, then let the first one
+        # scribble over its containers and its batch list.
+        delivered.append([t.values for t in delivery.tuples])
+        objects.append(list(delivery.tuples))
+        if len(delivered) == 1:
+            delivery.tuples[0].values[1].append("mutated")
+            delivery.tuples[0].values[2]["k"] = "mutated"
+            delivery.tuples.reverse()
+            delivery.tuples.pop()
+
+    sender, _receivers, logs = _remote_broadcast(engine, fabric, batch=2,
+                                                 on_delivery=mutate_first)
+    sent = [StreamTuple(("a", [1, "x"], {"k": 2}), stream=4, source_worker=1),
+            StreamTuple(("b", 3), stream=4, source_worker=1)]
+    sender.send_broadcast_interleaved(sent, [2, 3], 0.0, 0.0)
+    engine.run(until=0.05)
+    assert len(delivered) == 2
+    ((frame, _),) = logs[0]
+    reference = _decode_lane_reference(frame)
+    assert [t.values for t in reference.tuples] \
+        == [("a", [1, "x"], {"k": 2}), ("b", 3)]
+    assert delivered[1] == [t.values for t in reference.tuples]
+    first, second = objects
+    assert first[0].values[1] is not second[0].values[1]
+    assert first[0].values[2] is not second[0].values[2]
+    ((_frame, (second,)),) = logs[1]
+    assert second.cost == reference.cost
+    assert second.nbytes == reference.nbytes
+
+
+def test_traced_tuples_over_tunnel_checkpoint_at_each_replica(engine):
+    from repro.sim.trace import H_DESERIALIZE, H_WIRE, Tracer
+    from repro.streaming.serialize import encode_tuple
+
+    tracer = Tracer(engine, sample_every=1)
+    fabric = TyphoonFabric(engine, DEFAULT_COSTS, Cluster.of_size(2),
+                           tracer=tracer)
+    sender, _receivers, logs = _remote_broadcast(engine, fabric, batch=2)
+    sent = [StreamTuple(("t", i), stream=4, source_worker=1)
+            for i in range(2)]
+    for stream_tuple in sent:
+        assert tracer.maybe_trace(stream_tuple) is not None
+    sender.send_broadcast_interleaved(sent, [2, 3], 0.0, 0.0)
+    engine.run(until=0.05)
+    assert [len(log) for log in logs] == [1, 1]
+    costs = DEFAULT_COSTS
+    for stream_tuple in sent:
+        rlen = len(encode_tuple(stream_tuple))
+        want = costs.deserialize_per_tuple + rlen * costs.deserialize_per_byte
+        trace = tracer.traces[stream_tuple.trace_id]
+        for branch in (2, 3):
+            hops = [(e.hop, e.cost) for e in trace.branch_events(branch)
+                    if e.hop in (H_WIRE, H_DESERIALIZE)]
+            assert hops == [(H_WIRE, 0.0), (H_DESERIALIZE, want)]
+
+
+def test_over_mtu_tuple_over_tunnel_reassembles_at_each_replica(
+        engine, fabric, monkeypatch):
+    decodes = _count_calls(monkeypatch, "decode_tuple")
+    train_decodes = _count_calls(monkeypatch, "decode_train")
+    sender, _receivers, logs = _remote_broadcast(engine, fabric, batch=1)
+    payload = "y" * 30000   # far beyond the MTU
+    sender.send_broadcast(StreamTuple((payload,), source_worker=1), [2, 3])
+    assert sender.frames_sent > 1
+    engine.run(until=0.05)
+    assert len(decodes) == 2
+    assert train_decodes == []
+    for log in logs:
+        deliveries = [d for _frame, ds in log for d in ds]
+        assert len(deliveries) == 1
+        assert deliveries[0].tuples[0].values == (payload,)
