@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import cProfile
 import io
+import os
+import platform
 import pstats
 import time
 from typing import Any, Dict, List, Tuple
@@ -96,8 +98,14 @@ MAX_FIG9_DECODES_PER_TUNNEL_TRAIN = 1.0
 #: Minimum ``decode_train`` speedup over the per-record receive loop it
 #: replaced, measured in the same run (perf-smoke CI gate; wall-clock,
 #: so skipped under ``--profile``). The one-pass decoder must never be
-#: slower than slicing and decoding each record on its own.
+#: slower than slicing and decoding each record on its own, neither on
+#: its fixed-stride path nor on its record-by-record fallback.
 MIN_DECODE_TRAIN_SPEEDUP = 1.0
+
+#: The ``ops`` rows gated at :data:`MIN_DECODE_TRAIN_SPEEDUP`: a
+#: fixed-layout (fig9-shaped) train and a variable-length
+#: (word-count-shaped) one.
+DECODE_TRAIN_ROWS = ("decode_train", "decode_train_variable")
 
 #: Records in the ``decode_train`` micro-benchmark's MULTI payload —
 #: one full batch at the figures' ``batch_size``.
@@ -310,21 +318,16 @@ def _bench_codec(corpus: List[StreamTuple],
     return encode, decode
 
 
-def bench_decode_train(seed: int = 0,
-                       iterations: int = 50_000) -> Dict[str, float]:
-    """Receive-side decode of one MULTI payload: :func:`decode_train`
+def _bench_train_decode(train: List[StreamTuple],
+                        iterations: int) -> Dict[str, float]:
+    """Time :func:`decode_train` on one MULTI payload holding ``train``
     against the per-record loop it replaced (:func:`unpack_payload`,
-    then :func:`decode_tuple` on each record). The payload is one
-    fig9-shaped batch: ``TRAIN_RECORDS`` ``(payload, seq)`` tuples on
-    one stream. ``ops`` counts tuples."""
-    base = SeedFactory(seed).rng("bench.perf.decode_train").randrange(10 ** 6)
-    train = [StreamTuple(("typhoon-broadcast-benchmark", base + i),
-                         source_worker=1) for i in range(TRAIN_RECORDS)]
+    then :func:`decode_tuple` on each record). ``ops`` counts tuples."""
     payloads, _ = pack_tuples([encode_tuple(st) for st in train],
                               DEFAULT_MTU)
     assert len(payloads) == 1
     payload = payloads[0]
-    n = TRAIN_RECORDS
+    n = len(train)
 
     def run_current():
         return decode_train(payload, MULTI_HEAD_SIZE, n)[0]
@@ -336,7 +339,7 @@ def bench_decode_train(seed: int = 0,
         return [decode_tuple(record) for record in unpack_payload(payload)]
 
     # Sanity: both paths decode the same tuples.
-    assert run_current() == run_baseline()
+    assert run_current() == run_baseline() == train
     reps = max(1, iterations // n)
     # Alternate the two sides so a burst of machine load cannot land on
     # one side only: the speedup is gated, not just reported.
@@ -353,6 +356,36 @@ def bench_decode_train(seed: int = 0,
         "current_sec_per_op": t_new / ops,
         "baseline_sec_per_op": t_old / ops,
     }
+
+
+def bench_decode_train(seed: int = 0,
+                       iterations: int = 50_000) -> Dict[str, float]:
+    """Receive-side decode of one fig9-shaped batch: ``TRAIN_RECORDS``
+    ``(payload, seq)`` tuples on one stream. Every record has the same
+    layout and length, so :func:`decode_train` takes its fixed-stride
+    path."""
+    base = SeedFactory(seed).rng("bench.perf.decode_train").randrange(10 ** 6)
+    train = [StreamTuple(("typhoon-broadcast-benchmark", base + i),
+                         source_worker=1) for i in range(TRAIN_RECORDS)]
+    return _bench_train_decode(train, iterations)
+
+
+def bench_decode_train_variable(seed: int = 0,
+                                iterations: int = 50_000
+                                ) -> Dict[str, float]:
+    """Receive-side decode of one word-count-shaped batch:
+    ``TRAIN_RECORDS`` ``(word, count)`` tuples whose words vary in
+    length, so the records vary in length and :func:`decode_train`
+    decodes record by record (its fallback loop)."""
+    rng = SeedFactory(seed).rng("bench.perf.decode_train_variable")
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    vocabulary = ["".join(rng.choice(letters)
+                          for _ in range(rng.randrange(2, 13)))
+                  for _ in range(50)]
+    train = [StreamTuple((rng.choice(vocabulary), rng.randrange(10 ** 6)),
+                         source_worker=1) for _ in range(TRAIN_RECORDS)]
+    assert len({len(st.values[0]) for st in train}) > 1
+    return _bench_train_decode(train, iterations)
 
 
 # -- end-to-end wall-clock paths ---------------------------------------------
@@ -549,6 +582,9 @@ def run_perf_bench(seed: int = 0, iterations: int = 50_000,
     decode_train_row = _profiled(
         profile, "decode_train", profiles,
         lambda: bench_decode_train(seed, iterations))
+    decode_train_variable_row = _profiled(
+        profile, "decode_train_variable", profiles,
+        lambda: bench_decode_train_variable(seed, iterations))
     combined_new = (lookup["current_sec_per_op"]
                     + encode["current_sec_per_op"]
                     + decode["current_sec_per_op"])
@@ -557,6 +593,12 @@ def run_perf_bench(seed: int = 0, iterations: int = 50_000,
                     + decode["baseline_sec_per_op"])
     result: Dict[str, Any] = {
         "benchmark": "hotpath",
+        "environment": {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
         "seed": seed,
         "iterations": iterations,
         "ops": {
@@ -564,6 +606,7 @@ def run_perf_bench(seed: int = 0, iterations: int = 50_000,
             "encode": encode,
             "decode": decode,
             "decode_train": decode_train_row,
+            "decode_train_variable": decode_train_variable_row,
         },
         "combined": {
             "current_sec_per_op": combined_new,
@@ -595,15 +638,15 @@ write_report = write_json_report
 def render_report(result: Dict[str, Any]) -> str:
     lines = ["=== hot-path wall-clock benchmark (seed %d) ==="
              % result["seed"]]
-    lines.append("%-14s %14s %14s %9s" % ("op", "baseline/s", "current/s",
+    lines.append("%-21s %14s %14s %9s" % ("op", "baseline/s", "current/s",
                                           "speedup"))
-    for name in ("table_lookup", "encode", "decode", "decode_train"):
+    for name in ("table_lookup", "encode", "decode") + DECODE_TRAIN_ROWS:
         op = result["ops"][name]
-        lines.append("%-14s %14.0f %14.0f %8.2fx"
+        lines.append("%-21s %14.0f %14.0f %8.2fx"
                      % (name, op["baseline_ops_per_sec"],
                         op["current_ops_per_sec"], op["speedup"]))
     combined = result["combined"]
-    lines.append("%-14s %14s %14s %8.2fx"
+    lines.append("%-21s %14s %14s %8.2fx"
                  % ("combined", "-", "-", combined["speedup"]))
     lookup = result["ops"]["table_lookup"]
     lines.append("micro lookup cache hit rate: %.4f"
@@ -681,11 +724,12 @@ def check_gates(result: Dict[str, Any]) -> List[str]:
                 "fig9 decodes per tunnel train %.2f > %.1f "
                 "(remote replicas stopped sharing one decode)"
                 % (decodes, MAX_FIG9_DECODES_PER_TUNNEL_TRAIN))
-    speedup = result["ops"]["decode_train"]["speedup"]
-    if not profiled and speedup < MIN_DECODE_TRAIN_SPEEDUP:
-        failures.append(
-            "decode_train speedup %.2fx < %.2fx over the per-record loop"
-            % (speedup, MIN_DECODE_TRAIN_SPEEDUP))
+    for name in DECODE_TRAIN_ROWS if not profiled else ():
+        speedup = result["ops"][name]["speedup"]
+        if speedup < MIN_DECODE_TRAIN_SPEEDUP:
+            failures.append(
+                "%s speedup %.2fx < %.2fx over the per-record loop"
+                % (name, speedup, MIN_DECODE_TRAIN_SPEEDUP))
     micro_rate = result["ops"]["table_lookup"]["cache_hit_rate"]
     if micro_rate < MIN_FIG8_HIT_RATE:
         failures.append("micro lookup cache hit rate %.4f < %.2f"

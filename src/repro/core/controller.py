@@ -496,7 +496,13 @@ class TyphoonControllerApp(ControllerApp):
             for listener in list(self.port_add_listeners):
                 listener(message.dpid, worker_id)
         elif message.reason == PORT_DELETE:
-            self.port_map.pop((message.dpid, worker_id), None)
+            port_no = self.port_map.pop((message.dpid, worker_id), None)
+            if port_no is not None:
+                # Retire the worker-to-controller tap PORT_ADD installed.
+                match, _actions = rule_templates.worker_to_controller(port_no)
+                self.controller.delete_flows(
+                    message.dpid, match, strict=True,
+                    priority=rule_templates.PRIORITY_CONTROL)
             if self.worker_host.get(worker_id) == message.dpid:
                 del self.worker_host[worker_id]
             # A restarted spout comes back deactivated and needs a fresh

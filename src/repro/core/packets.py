@@ -153,19 +153,38 @@ def multi_count(payload: bytes) -> Optional[int]:
 
 def record_bounds(payload: bytes, offset: int, count: int,
                   _unpack_len=_RECORD_LEN.unpack_from) -> List[int]:
-    """The validated MULTI record walk: every reader of MULTI framing
-    (:func:`unpack_payload`, the receive-side train decoder, the ledger
-    and tracer inspectors, the controller's PacketIn handler) goes
-    through this one function.
+    """The validated MULTI record bounds: every reader of MULTI framing
+    (:func:`unpack_payload`, the receive-side train decoder's
+    record-by-record loop, the ledger and tracer inspectors, the
+    controller's PacketIn handler) goes through this one function. The
+    decoder's fixed-stride path accepts only payloads this function
+    accepts (equal prefixes tiling the payload) and leaves the rest to
+    the loop.
 
-    Walks ``count`` length-prefixed records starting at ``offset``
-    without slicing any of them and returns ``count + 1`` prefix
-    offsets: record ``i``'s bytes are
+    Returns ``count + 1`` prefix offsets: record ``i``'s bytes are
     ``payload[bounds[i] + 4 : bounds[i + 1]]`` (the layout
     :func:`repro.streaming.serialize.encode_train` emits). Raises
     :class:`PacketError` for a truncated length prefix, a body running
-    past the payload, or bytes left over after the last record."""
+    past the payload, or bytes left over after the last record.
+
+    Fixed-stride trains (every record the same length, as a train of
+    one record layout is) are checked without a per-record walk: when
+    ``count`` records of the first record's stride tile the rest of the
+    payload exactly and each of the four prefix bytes is the same in
+    every record (one strided slice per byte), the bounds are an
+    arithmetic range. Any other payload takes the record walk, which
+    reads each prefix in turn without slicing any record."""
     size = len(payload)
+    body = offset + 4
+    if count and body <= size:
+        stride = _unpack_len(payload, offset)[0] + 4
+        if count * stride == size - offset:
+            head = bytes(payload[offset:body])
+            for k in range(4):
+                if payload[offset + k:size:stride] != head[k:k + 1] * count:
+                    break
+            else:
+                return list(range(offset, size + 1, stride))
     bounds = [offset]
     mark = bounds.append
     for _ in range(count):

@@ -35,8 +35,12 @@ is the repo's hottest real (wall-clock) path, so it is tuned for CPython
   it reports fast-lane eligibility as it writes.
 * **trains in both directions**: :func:`encode_train` writes a whole
   batch as one length-prefixed buffer, and :func:`decode_train` decodes
-  a whole MULTI payload in place, record after record, without slicing
-  any record out of it.
+  a whole MULTI payload in one call. A fixed-stride train (every record
+  one layout: same stamps, value tags and str/bytes lengths) is
+  unpacked by one compiled ``struct`` format per record layout and
+  built column by column, with no per-value Python walk; any other
+  train is decoded in place, record after record, without slicing any
+  record out of it.
 
 The byte layout is unchanged — encode/decode are byte-for-byte
 compatible with the pre-optimization codec, including the optional
@@ -701,6 +705,201 @@ def decode_tuple(data, source_component: str = "") -> StreamTuple:
                        trace_id=trace_id, seq=seq)
 
 
+#: Flag bits the decoders understand; a fixed-stride train carrying any
+#: other bit is left to the per-record loop.
+_KNOWN_FLAGS = _FLAG_ANCHORED | _FLAG_TRACED | _FLAG_SEQUENCED
+
+#: Record-layout pieces for the fixed-stride decode: the ``struct``
+#: format of each scalar tag's body (after its tag byte), and the
+#: stamp each flag adds after the envelope, in wire order.
+_BODY_FORMAT = {_T_INT: "q", _T_FLOAT: "d", _T_NONE: "", _T_TRUE: "",
+                _T_FALSE: ""}
+_STAMPS = ((_FLAG_ANCHORED, _ANCHOR), (_FLAG_TRACED, _TRACE),
+           (_FLAG_SEQUENCED, _SEQ))
+
+#: Compiled fixed-stride train layouts keyed by ``(flags, shape)``
+#: (see :func:`_record_shape`); bounded like :data:`_ENVELOPE_CACHE`.
+_LAYOUT_CACHE: dict = {}
+
+
+def _record_shape(payload, start: int, end: int,
+                  _unpack_u32=_U32.unpack_from):
+    """``(flags, shape)`` of the record in ``payload[start:end]``, or
+    ``None`` when it cannot head a fixed-stride train.
+
+    Walks only the record's header fields: the envelope, the stamp
+    flags, then each value's tag, plus the length of a str/bytes value.
+    ``shape`` lists the tags, each str/bytes tag followed by its length.
+    ``None`` for unknown flag bits, a container or big-int tag, an
+    unknown tag, or a record that is not exactly its own length."""
+    if end - start < _ENVELOPE.size:
+        return None
+    _stream, _src, flags, nvalues = _ENVELOPE.unpack_from(payload, start)
+    if flags & ~_KNOWN_FLAGS:
+        return None
+    pos = start + _ENVELOPE.size
+    for bit, stamp in _STAMPS:
+        if flags & bit:
+            pos += stamp.size
+    shape = []
+    for _ in range(nvalues):
+        if pos >= end:
+            return None
+        tag = payload[pos]
+        shape.append(tag)
+        if tag == _T_STR or tag == _T_BYTES:
+            if pos + 5 > end:
+                return None
+            (length,) = _unpack_u32(payload, pos + 1)
+            shape.append(length)
+            pos += 5 + length
+        elif tag == _T_INT or tag == _T_FLOAT:
+            pos += 9
+        elif tag in _BODY_FORMAT:
+            pos += 1
+        else:
+            return None
+    if pos != end:
+        return None
+    return flags, tuple(shape)
+
+
+def _compile_layout(flags: int, shape: tuple):
+    """Compile one fixed-stride record layout: ``(iter_unpack, const,
+    plan)``. ``iter_unpack`` reads one whole record, length prefix
+    included, per row. ``const`` lists the columns every record must
+    share with the first (length prefix, flags, nvalues, every
+    non-bool tag and every str/bytes length). ``plan`` has one
+    ``(tag, column)`` entry per value: ``column`` is the tag's own
+    column, the value's body (if any) following it."""
+    parts = ["!I", _ENVELOPE.format.lstrip("!")]
+    column = 5    # prefix, stream, source worker, flags, nvalues
+    for bit, stamp in _STAMPS:
+        if flags & bit:
+            fmt = stamp.format.lstrip("!")
+            parts.append(fmt)
+            column += len(fmt)
+    const = [0, 3, 4]
+    plan = []
+    shape = iter(shape)
+    for tag in shape:
+        plan.append((tag, column))
+        if tag != _T_TRUE and tag != _T_FALSE:
+            const.append(column)
+        if tag == _T_STR or tag == _T_BYTES:
+            parts.append("BI%ds" % next(shape))
+            const.append(column + 1)
+            column += 3
+        else:
+            body = _BODY_FORMAT[tag]
+            parts.append("B" + body)
+            column += 1 + len(body)
+    return struct.Struct("".join(parts)).iter_unpack, tuple(const), \
+        tuple(plan)
+
+
+def _decode_uniform(payload, offset: int, count: int,
+                    _unpack_len=_RECORD_LEN.unpack_from,
+                    _new=StreamTuple.__new__, _len=len):
+    """:func:`decode_train`'s fixed-stride path: its result for a train
+    of ``count`` records that all share one layout, or ``None`` to hand
+    the train to the per-record loop.
+
+    The layout is read from record 0's header (:func:`_record_shape`)
+    and compiled once into a ``struct`` format covering a whole record.
+    Every record is unpacked by that one format and the rows are
+    transposed into columns; the train qualifies only if the columns
+    that fix the layout are the same in every record (a bool tag may be
+    TRUE or FALSE in each), so each record decodes exactly as the loop
+    would decode it alone. A train that does not qualify, or holds
+    invalid UTF-8, returns ``None`` and the loop decides what to
+    return or raise."""
+    size = _len(payload)
+    start = offset + 4
+    if start > size:
+        return None
+    rlen = _unpack_len(payload, offset)[0]
+    if count * (rlen + 4) != size - offset:
+        return None
+    key = _record_shape(payload, start, start + rlen)
+    if key is None:
+        return None
+    layout = _LAYOUT_CACHE.get(key)
+    if layout is None:
+        layout = _compile_layout(*key)
+        if _len(_LAYOUT_CACHE) >= _ENVELOPE_CACHE_MAX:
+            _LAYOUT_CACHE.clear()
+        _LAYOUT_CACHE[key] = layout
+    iter_unpack, const, plan = layout
+    cols = list(zip(*iter_unpack(memoryview(payload)[offset:])))
+    for column in const:
+        col = cols[column]
+        if col.count(col[0]) != count:
+            return None
+    est = 80 * count
+    columns = []    # one per value
+    for tag, column in plan:
+        if tag == _T_STR:
+            col = cols[column + 2]
+            first = col[0]
+            try:
+                if col.count(first) == count:
+                    text = first.decode("utf-8")
+                    col = (text,) * count
+                    est += _len(text) * count
+                else:
+                    col = [data.decode("utf-8") for data in col]
+                    est += sum(map(_len, col))
+            except UnicodeDecodeError:
+                return None
+        elif tag == _T_BYTES:
+            col = cols[column + 2]
+            est += _len(col[0]) * count
+        elif tag == _T_INT or tag == _T_FLOAT:
+            col = cols[column + 1]
+            est += 8 * count
+        elif tag == _T_NONE:
+            col = (None,) * count
+            est += 8 * count
+        else:
+            col = cols[column]
+            if col.count(_T_TRUE) + col.count(_T_FALSE) != count:
+                return None
+            col = [bit == _T_TRUE for bit in col]
+            est += 8 * count
+        columns.append(col)
+    rows = zip(*columns) if columns else ((),) * count
+    flags = cols[3][0]
+    anchors = traces = seqs = (None,) * count
+    field = 5    # the first stamp column
+    if flags & _FLAG_ANCHORED:
+        anchors = list(map(Anchor, cols[5], cols[6]))
+        field = 7
+    if flags & _FLAG_TRACED:
+        traces = cols[field]
+        field += 1
+    if flags & _FLAG_SEQUENCED:
+        seqs = list(zip(cols[field], cols[field + 1]))
+    streams = cols[1]
+    tuples: list = []
+    add = tuples.append
+    for values, stream, src, anchor, trace_id, seq in zip(
+            rows, streams, cols[2], anchors, traces, seqs):
+        out = _new(StreamTuple)
+        out.values = values
+        out.stream = stream
+        out.source_component = ""
+        out.source_worker = src
+        out.anchor = anchor
+        out.trace_id = trace_id
+        out.seq = seq
+        add(out)
+    stream = streams[0]
+    if streams.count(stream) != count:
+        stream = None
+    return tuples, [rlen] * count, est, stream
+
+
 def decode_train(
     payload,
     offset: int,
@@ -729,15 +928,30 @@ def decode_train(
     * ``stream`` — the one stream id every tuple rides, or ``None``
       when the records mix streams (or there are none).
 
-    The framing is checked by :func:`repro.core.packets.record_bounds`
-    (a :class:`~repro.core.packets.PacketError` for a truncated length,
-    a truncated body or trailing payload bytes) before any record is
+    A train of two or more records that all share record 0's layout
+    (length, stamp flags, value tags and str/bytes lengths; a bool may
+    be True or False in each) is decoded by :func:`_decode_uniform`:
+    one compiled ``struct`` pass over every record, then the values
+    column by column. That path validates the framing itself (the
+    records tile the payload at one stride with equal length
+    prefixes). Any other train, including one holding a container, a
+    big int, unknown flag bits or invalid UTF-8, takes the loop below.
+
+    The loop checks the framing with
+    :func:`repro.core.packets.record_bounds` (a
+    :class:`~repro.core.packets.PacketError` for a truncated length, a
+    truncated body or trailing payload bytes) before any record is
     decoded. Each record is then decoded in place, with no per-record
     slice. A record that does not decode to exactly its own bytes (a
     short envelope, a truncated value, trailing bytes, an unknown tag)
     is decoded again on its own by :func:`decode_tuple`, so it raises
-    exactly the error a per-record decode raises.
+    exactly the error a per-record decode raises. Both paths return
+    the same value for every payload the fixed-stride path accepts.
     """
+    if count >= 2:
+        decoded = _decode_uniform(payload, offset, count)
+        if decoded is not None:
+            return decoded
     bounds = record_bounds(payload, offset, count)
     if _type(payload) is not bytes:
         payload = bytes(payload)

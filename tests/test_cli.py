@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import io
+import platform
 
 import pytest
 
@@ -76,8 +77,25 @@ def test_bench_perf_micro_runs_and_writes_json(tmp_path):
     data = json.loads(report.read_text())
     assert data["benchmark"] == "hotpath"
     assert set(data["ops"]) == {"table_lookup", "encode", "decode",
-                                "decode_train"}
+                                "decode_train", "decode_train_variable"}
+    assert data["environment"]["python"] == platform.python_version()
     assert data["ops"]["table_lookup"]["cache_hit_rate"] > 0.95
+
+
+def test_perf_gate_covers_the_variable_stride_decode_row():
+    from repro.bench.perf import check_gates
+
+    result = {
+        "ops": {"decode_train": {"speedup": 2.0},
+                "decode_train_variable": {"speedup": 1.1},
+                "table_lookup": {"cache_hit_rate": 1.0}},
+    }
+    assert check_gates(result) == []
+    result["ops"]["decode_train_variable"]["speedup"] = 0.9
+    (failure,) = check_gates(result)
+    assert failure.startswith("decode_train_variable speedup 0.90x < 1.00x")
+    result["profile"] = {}   # wall-clock floors are skipped when profiled
+    assert check_gates(result) == []
 
 
 def test_perf_gate_fails_when_tunnel_replicas_decode_twice():

@@ -1,9 +1,12 @@
 """Unit + property tests for the Typhoon packet format (Fig. 5)."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Fragment, PacketError, Reassembler, pack_tuples, unpack_payload
+from repro.core.packets import MULTI_HEAD_SIZE, record_bounds
 
 
 def test_multiplexing_small_tuples_into_one_packet():
@@ -139,3 +142,98 @@ def test_pack_unpack_roundtrip_property(tuples, mtu):
             recovered.extend(decoded)
     assert recovered == tuples
     assert reassembler.pending_count == 0
+
+
+# -- record_bounds: fixed-stride check vs the record walk ---------------------------
+
+
+def _walk_bounds(payload, offset, count):
+    """Reference MULTI framing check: read every length prefix in turn."""
+    bounds = [offset]
+    for _ in range(count):
+        if offset + 4 > len(payload):
+            raise PacketError("truncated record length")
+        offset += 4 + struct.unpack_from("!I", payload, offset)[0]
+        if offset > len(payload):
+            raise PacketError("truncated record body")
+        bounds.append(offset)
+    if offset != len(payload):
+        raise PacketError("%d trailing payload bytes"
+                          % (len(payload) - offset))
+    return bounds
+
+
+def _framed(lengths, prefixes=None, tail=b""):
+    """A MULTI payload whose records have bodies of ``lengths`` bytes
+    behind the length prefixes ``prefixes`` (default: the true
+    lengths), followed by ``tail``."""
+    prefixes = lengths if prefixes is None else prefixes
+    body = b"".join(struct.pack("!I", prefix) + bytes([65 + i % 26]) * length
+                    for i, (prefix, length) in enumerate(zip(prefixes,
+                                                             lengths)))
+    return struct.pack("!BH", 0, len(lengths)) + body + tail
+
+
+def _bounds_outcome(payload, count):
+    try:
+        return record_bounds(payload, MULTI_HEAD_SIZE, count)
+    except PacketError as error:
+        return "PacketError", str(error)
+
+
+def _walk_outcome(payload, count):
+    try:
+        return _walk_bounds(payload, MULTI_HEAD_SIZE, count)
+    except PacketError as error:
+        return "PacketError", str(error)
+
+
+def _assert_matches_walk(payload, count):
+    expected = _walk_outcome(bytes(payload), count)
+    for view in (bytes(payload), bytearray(payload), memoryview(payload)):
+        assert _bounds_outcome(view, count) == expected
+    return expected
+
+
+def test_record_bounds_fixed_stride_is_arithmetic():
+    payload = _framed([9] * 50)
+    bounds = _assert_matches_walk(payload, 50)
+    assert bounds == list(range(MULTI_HEAD_SIZE, len(payload) + 1, 13))
+    assert unpack_payload(payload) == [bytes([65 + i % 26]) * 9
+                                       for i in range(50)]
+
+
+def test_record_bounds_equal_total_with_one_differing_length():
+    # 5 + 4 + 6 tiles like three 5-byte records but is not fixed-stride.
+    payload = _framed([5, 4, 6])
+    assert _assert_matches_walk(payload, 3) == [3, 12, 20, 30]
+    assert unpack_payload(payload) == [b"A" * 5, b"B" * 4, b"C" * 6]
+
+
+@pytest.mark.parametrize("byte", range(4))
+@pytest.mark.parametrize("record", [1, 3])
+def test_record_bounds_equal_stride_with_one_differing_prefix(byte, record):
+    """Records of one stride tile the payload, but one length prefix
+    differs from the first in one of its four bytes: the walk decides."""
+    prefixes = [7] * 4
+    prefixes[record] = 7 ^ (1 << (8 * (3 - byte)))
+    payload = _framed([7] * 4, prefixes)
+    outcome = _assert_matches_walk(payload, 4)
+    assert outcome[0] == "PacketError"
+
+
+def test_record_bounds_exact_tiling_vs_trailing_bytes():
+    exact = _framed([6] * 8)
+    assert _assert_matches_walk(exact, 8)[-1] == len(exact)
+    for tail in (b"\x00", b"\x00" * 9, b"\x00\x00\x00\x06xxxxxx"):
+        outcome = _assert_matches_walk(_framed([6] * 8, tail=tail), 8)
+        assert outcome == ("PacketError",
+                           "%d trailing payload bytes" % len(tail))
+
+
+def test_record_bounds_short_and_empty_inputs():
+    for payload, count in ((_framed([]), 0), (_framed([3]), 1),
+                           (_framed([0, 0]), 2), (_framed([4] * 3)[:-1], 3),
+                           (_framed([4] * 3)[:5], 3),
+                           (_framed([]) + b"xy", 0)):
+        _assert_matches_walk(payload, count)

@@ -17,6 +17,7 @@ from repro.coordination import Coordinator
 from repro.core import TyphoonCluster
 from repro.core.apps import FaultDetector
 from repro.core.rest import RestApi
+from repro.core.rules import PRIORITY_CONTROL, worker_to_controller
 from repro.net import TYPHOON_ETHERTYPE, EthernetFrame, WorkerAddress
 from repro.sdn import (
     OFPP_CONTROLLER,
@@ -35,6 +36,7 @@ from repro.sdn.ha import ELECTION_PATH, GENERATION_PATH
 from repro.sim import DEFAULT_COSTS, Engine
 from repro.sim.audit import DeliveryLedger, LAYER_SWITCH, R_CONTROL_BACKLOG
 from repro.sim.faults import (
+    kill_worker_at,
     set_controller_replica_down,
     set_store_partition,
     set_switch_down,
@@ -297,6 +299,26 @@ def test_failover_restores_state_and_leaves_zero_divergence():
     assert summary["failovers"] == 1
     assert summary["unreconciled"] == 0
     assert 0.0 < summary["max_blackout_ms"] <= summary["budget_ms"]
+
+
+def test_worker_death_retires_its_controller_tap():
+    """PORT_DELETE removes the worker-to-controller tap PORT_ADD
+    installed: the dead worker's old port keeps no tap rule, the
+    restarted worker's new port has one, and the tables still equal
+    the leader's desired state."""
+    engine, cluster = start_ha_cluster()
+    (dpid, worker_id), old_port = max(cluster.app.port_map.items())
+    kill_worker_at(cluster, worker_id, engine.now)
+    engine.run(until=8.0)
+    new_port = cluster.app.port_map[(dpid, worker_id)]
+    assert new_port != old_port   # the restart attached a fresh port
+    switch = cluster.sdn.switches[dpid]
+    old_tap, _actions = worker_to_controller(old_port)
+    new_tap, _actions = worker_to_controller(new_port)
+    assert flows_matching(switch, old_tap) == []
+    assert [entry.priority for entry in flows_matching(switch, new_tap)] \
+        == [PRIORITY_CONTROL]
+    assert cluster.ha.rule_divergence()["total"] == 0
 
 
 def test_store_partition_failover_via_fault_helpers():
